@@ -3,10 +3,10 @@
 Drives the same 10k-event churn-under-faults stream (the chaos
 workload) through two configurations of the durable runtime stack:
 
-- **no-WAL baseline** — the full ``DurableRuntime`` event path with the
-  log swapped for an in-memory null appender and checkpoints disabled,
-  so the measured delta is exactly the durability cost (encode + CRC +
-  write + fsync + snapshot), not wrapper bookkeeping;
+- **no-WAL baseline** — the full ``DurableRuntime`` event path in
+  volatile mode (``durability=off``: an in-memory sequence counter and
+  no checkpoints), so the measured delta is exactly the durability cost
+  (encode + CRC + write + fsync + snapshot), not wrapper bookkeeping;
 - **group-commit WAL** — the amortized configuration
   (``fsync_every=1024``, ``checkpoint_every=2500``), asserted to stay
   within ``OVERHEAD_BUDGET`` of the baseline. The runtime's default
@@ -40,9 +40,7 @@ from repro.datasets import synthesize_meridian_like
 from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
 from repro.placement import kcenter_b
-from repro.resilience import DurableRuntime, chaos_workload
-from repro.resilience.chaos import apply_event
-from repro.resilience.wal import WalRecord
+from repro.resilience import DurabilityConfig, DurableRuntime, chaos_workload
 
 OVERHEAD_BUDGET = 1.10
 #: Below this node count the workload's per-event cost is too small for
@@ -60,36 +58,6 @@ N_NODES = _env_int("REPRO_BENCH_RESILIENCE_NODES", 2_000)
 N_SERVERS = _env_int("REPRO_BENCH_RESILIENCE_SERVERS", 48)
 
 
-class _NullWal:
-    """In-memory stand-in for the write-ahead log (no-WAL baseline).
-
-    Stamps records exactly like the real appender so the runtime's
-    event path is unchanged; nothing touches disk.
-    """
-
-    def __init__(self, next_seq: int = 1) -> None:
-        self._next_seq = next_seq
-        self.closed = False
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    def append(self, kind, data=None) -> WalRecord:
-        record = WalRecord(seq=self._next_seq, kind=kind, data=dict(data or {}))
-        self._next_seq += 1
-        return record
-
-    def sync(self) -> None:
-        pass
-
-    def close(self) -> None:
-        self.closed = True
-
-    def abandon(self) -> None:
-        self.closed = True
-
-
 @pytest.fixture(scope="module")
 def setup():
     matrix = synthesize_meridian_like(N_NODES, seed=0)
@@ -100,19 +68,16 @@ def setup():
 
 def _drive(directory, matrix, servers, events, *, fsync_every, checkpoint_every):
     """Apply the event stream; returns (seconds, final D)."""
-    runtime = DurableRuntime(
-        directory,
-        matrix,
-        servers,
-        checkpoint_every=checkpoint_every,
-        fsync_every=fsync_every if fsync_every is not None else 0,
-    )
-    if fsync_every is None:  # no-WAL baseline: swap in the null appender
-        runtime._wal.abandon()
-        runtime._wal = _NullWal(runtime.applied_seq + 1)
+    if fsync_every is None:  # no-WAL baseline: volatile mode
+        durability = DurabilityConfig(mode="off")
+    else:
+        durability = DurabilityConfig(
+            checkpoint_every=checkpoint_every, fsync_every=fsync_every
+        )
+    runtime = DurableRuntime(directory, matrix, servers, durability=durability)
     start = time.perf_counter()
     for event in events:
-        apply_event(runtime, event)
+        runtime.apply(event)
     elapsed = time.perf_counter() - start
     final_d = runtime.current_d()
     runtime.abandon()
@@ -216,10 +181,13 @@ def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
         for tail in tails:
             directory = tmp_path / f"recover-{tail}"
             runtime = DurableRuntime(
-                directory, matrix, servers, checkpoint_every=0, fsync_every=1024
+                directory,
+                matrix,
+                servers,
+                durability=DurabilityConfig(checkpoint_every=0, fsync_every=1024),
             )
             for event in events[:tail]:
-                apply_event(runtime, event)
+                runtime.apply(event)
             expected = runtime.digest()
             runtime.abandon()
             start = time.perf_counter()

@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import InvalidParameterError, ReproError
 from repro.kernels import BACKEND_CHOICES
 
 
@@ -982,7 +982,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import render_summary, summarize_file
 
-    print(render_summary(summarize_file(args.trace_file, top=args.top)))
+    try:
+        summary = summarize_file(args.trace_file, top=args.top)
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot read trace file {args.trace_file!r}: {exc.strerror}"
+        ) from None
+    print(render_summary(summary))
     return 0
 
 

@@ -32,7 +32,6 @@ See ``docs/resilience.md`` for the on-disk formats and guarantees.
 """
 
 from repro.resilience.chaos import (
-    ChaosEvent,
     ChaosReport,
     KillPointResult,
     chaos_workload,
@@ -54,7 +53,12 @@ from repro.resilience.degrade import (
     DegradeController,
     DegradePolicy,
 )
-from repro.resilience.runtime import DurabilityConfig, DurableRuntime
+from repro.resilience.runtime import (
+    EVENT_OPS,
+    DurabilityConfig,
+    DurableRuntime,
+    parse_event,
+)
 from repro.resilience.wal import (
     WalReadResult,
     WalRecord,
@@ -87,8 +91,9 @@ __all__ = [
     # runtime
     "DurabilityConfig",
     "DurableRuntime",
+    "EVENT_OPS",
+    "parse_event",
     # chaos
-    "ChaosEvent",
     "chaos_workload",
     "KillPointResult",
     "ChaosReport",

@@ -5,7 +5,10 @@
 :class:`~repro.faults.failover.FailoverController` and a
 :class:`~repro.resilience.degrade.DegradeController` behind one event
 API (join / leave / crash / recover_server / partition / heal /
-rebalance). Every operation is appended to the write-ahead log
+rebalance) and one reducer, :meth:`DurableRuntime.apply`, that takes
+the wire form of an event (``{"op": ..., <field>}``, validated by
+:func:`parse_event`) and returns its canonical reply envelope. Every
+operation is appended to the write-ahead log
 (:mod:`repro.resilience.wal`) *before* it is applied, and a checkpoint
 (:mod:`repro.resilience.checkpoint`) is written every
 ``checkpoint_every`` events, so
@@ -13,10 +16,10 @@ rebalance). Every operation is appended to the write-ahead log
     ``DurableRuntime.recover(directory, matrix)``
 
 always rebuilds the exact state of the interrupted run: latest valid
-checkpoint, then deterministic re-execution of the WAL tail. The
-recovery contract is **byte identity** — :meth:`digest` of the
-recovered runtime equals the digest the uninterrupted run had at the
-same WAL position. Re-execution is deterministic because every
+checkpoint, then deterministic re-execution of the WAL tail through
+the same reducer. The recovery contract is **byte identity** —
+:meth:`digest` of the recovered runtime equals the digest the
+uninterrupted run had at the same WAL position. Re-execution is deterministic because every
 placement decision is a function of the assignment state alone (exact
 maxima from the incremental engine; no wall clocks, no RNG inside the
 runtime), which is the property ``repro chaos`` verifies end to end.
@@ -32,22 +35,21 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.algorithms.online import (
-    _UNSET,
-    OnlineAssignmentManager,
-    OnlineConfig,
-)
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.core.incremental import DEFAULT_TOP_K
 from repro.errors import (
+    BadRequestError,
     CapacityError,
     CheckpointError,
     InvalidAssignmentError,
     InvalidParameterError,
+    ReproError,
     ResilienceError,
+    SessionStateError,
+    UnknownOperationError,
 )
 from repro.faults.failover import CrashRecord, FailoverController, RecoveryRecord
 from repro.net.latency import LatencyMatrix
@@ -75,6 +77,84 @@ WAL_NAME = "events.wal"
 
 #: State-dict layout version (independent of the checkpoint envelope).
 STATE_SCHEMA = 1
+
+#: The event table: op -> (its one field, the per-op method applying
+#: it, the reply builder ``(runtime, value, result) -> (outcome,
+#: extra envelope keys)``). The op also names the WAL record kind, and
+#: each method takes its field under the same name.
+_EVENTS: Dict[str, Tuple[str, str, Any]] = {
+    "join": ("node", "join", lambda rt, node, outcome: (
+        outcome,
+        {"server": rt.manager.server_of(node) if outcome == "assigned" else None},
+    )),
+    "leave": ("node", "leave", lambda rt, node, outcome: (outcome, {})),
+    "crash": ("server", "crash", lambda rt, server, record: (
+        "crashed",
+        {
+            "server": server,
+            "evacuated": record.n_evacuated,
+            "shed": [int(c) for c in record.shed],
+        },
+    )),
+    "recover": ("server", "recover_server", lambda rt, server, record: (
+        "recovered",
+        {"server": server, "rebalance_moves": record.rebalance_moves},
+    )),
+    "partition": ("servers", "partition", lambda rt, servers, stale: (
+        "partitioned",
+        {"servers": servers, "stale": [int(c) for c in stale]},
+    )),
+    "heal": ("servers", "heal", lambda rt, servers, _: ("healed", {"servers": servers})),
+    "rebalance": ("max_moves", "rebalance", lambda rt, _, moves: (
+        "rebalanced",
+        {"moves": moves},
+    )),
+}
+
+#: Event operations, in their wire (and WAL record kind) spelling.
+EVENT_OPS = frozenset(_EVENTS)
+
+#: Default ``max_moves`` of a ``rebalance`` event that omits it.
+DEFAULT_REBALANCE_MOVES = 16
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_event(event: Any) -> Dict[str, Any]:
+    """Validate one wire-form event; returns its canonical copy.
+
+    The canonical form is ``{"op": op, <field>: value}`` with exactly
+    the op's one field (other keys, such as a request's ``id``, are
+    dropped): an integer ``node`` (join/leave) or ``server``
+    (crash/recover), a non-empty sorted integer list ``servers``
+    (partition/heal), or an integer ``max_moves`` (rebalance, default
+    :data:`DEFAULT_REBALANCE_MOVES`). Booleans and floats are not
+    integers here. Raises :class:`~repro.errors.UnknownOperationError`
+    for an unknown op and :class:`~repro.errors.BadRequestError` for a
+    missing or mistyped field; state preconditions (a node already
+    connected, a negative ``max_moves``) are the runtime's to check.
+    """
+    if not isinstance(event, dict):
+        raise BadRequestError("an event must be an object")
+    op = event.get("op")
+    if op not in _EVENTS:
+        raise UnknownOperationError(f"unknown session event op {op!r}")
+    key = _EVENTS[op][0]
+    if key == "servers":
+        value = event.get(key)
+        if not isinstance(value, list) or not value or not all(
+            _is_int(v) for v in value
+        ):
+            raise BadRequestError(f"'{key}' must be a non-empty list of integers")
+        value = sorted(value)
+    else:
+        default = DEFAULT_REBALANCE_MOVES if op == "rebalance" else None
+        value = event.get(key, default)
+        if not _is_int(value):
+            raise BadRequestError(f"'{key}' must be an integer")
+    return {"op": op, key: value}
 
 
 @dataclass(frozen=True)
@@ -158,42 +238,30 @@ class DurabilityConfig:
             keep_checkpoints=int(data.get("keep_checkpoints", 2)),
         )
 
-    def merge_legacy_kwargs(
-        self,
-        where: str,
-        *,
-        checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
-    ) -> "DurabilityConfig":
-        """Fold deprecated constructor keywords into a config.
 
-        Emits a :class:`DeprecationWarning` and refuses silently
-        conflicting double specification.
-        """
-        updates: Dict[str, Any] = {}
-        if checkpoint_every is not _UNSET:
-            updates["checkpoint_every"] = checkpoint_every
-        if fsync_every is not _UNSET:
-            updates["fsync_every"] = fsync_every
-        if keep_checkpoints is not _UNSET:
-            updates["keep_checkpoints"] = keep_checkpoints
-        if not updates:
-            return self
-        warnings.warn(
-            f"passing {sorted(updates)} directly to {where} is deprecated; "
-            f"pass durability=DurabilityConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        fields = DurabilityConfig.__dataclass_fields__
-        for key in updates:
-            if getattr(self, key) != fields[key].default:
-                raise InvalidParameterError(
-                    f"{key} specified both in durability config and as a "
-                    f"keyword"
-                )
-        return DurabilityConfig(**{**self.to_dict(), **updates})
+class _ReplayLog:
+    """The log while recovery re-executes a WAL record.
+
+    :meth:`append` hands back the record being replayed instead of
+    writing a new one, after checking that the per-op method logged
+    exactly what the record holds.
+    """
+
+    __slots__ = ("record",)
+
+    path = None
+    closed = False
+
+    def __init__(self) -> None:
+        self.record: Optional[WalRecord] = None
+
+    def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> WalRecord:
+        record, self.record = self.record, None
+        if record is None or record.kind != kind or record.data != (data or {}):
+            raise ResilienceError(
+                f"replayed {kind!r} event does not match its WAL record"
+            )
+        return record
 
 
 class _NullWal:
@@ -258,13 +326,14 @@ class DurableRuntime:
         OnlineAssignmentManager`.
     online:
         An :class:`~repro.algorithms.online.OnlineConfig` (capacity,
-        join policy); the legacy ``capacity=`` / ``join_policy=``
-        keywords remain accepted but deprecated.
+        join policy, kernel backend, top-k, shards). ``shards > 1``
+        runs a region-sharded
+        :class:`~repro.scale.sharded.ShardedOnlineManager` instead; a
+        sharded runtime is volatile-only and refuses server fault
+        events with :class:`~repro.errors.SessionStateError`.
     durability:
         A :class:`DurabilityConfig` (mode, checkpoint cadence, fsync
-        interval, retention); the legacy ``checkpoint_every=`` /
-        ``fsync_every=`` / ``keep_checkpoints=`` keywords remain
-        accepted but deprecated.
+        interval, retention).
     readmit_moves, shed_policy:
         Forwarded to :class:`~repro.faults.failover.FailoverController`
         (default ``"shed"``: a crash degrades rather than raises).
@@ -283,22 +352,15 @@ class DurableRuntime:
         readmit_moves: int = 8,
         shed_policy: str = "shed",
         policy: Optional[DegradePolicy] = None,
-        capacity: Any = _UNSET,
-        join_policy: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
     ) -> None:
-        online = (online or OnlineConfig()).merge_legacy_kwargs(
-            "DurableRuntime", capacity=capacity, join_policy=join_policy
-        )
-        durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
-            "DurableRuntime",
-            checkpoint_every=checkpoint_every,
-            fsync_every=fsync_every,
-            keep_checkpoints=keep_checkpoints,
-        )
+        online = online or OnlineConfig()
+        durability = durability or DurabilityConfig()
         if durability.durable:
+            if online.shards > 1:
+                raise InvalidParameterError(
+                    "sharded runtimes (shards > 1) are volatile-only; "
+                    "use durability mode 'off'"
+                )
             if directory is None:
                 raise InvalidParameterError(
                     "durability mode 'wal' requires a directory"
@@ -321,6 +383,9 @@ class DurableRuntime:
         else:
             directory = None if directory is None else os.fspath(directory)
         policy = policy or DegradePolicy()
+        # The shard count stays out of the config: it changes how the
+        # state is computed, not what it is, so a sharded runtime's
+        # digest equals its unsharded twin's.
         config = {
             "servers": [int(s) for s in as_index_array(servers, "servers")],
             "capacity": online.capacity,
@@ -337,7 +402,9 @@ class DurableRuntime:
             ),
             "matrix_fingerprint": fingerprint_matrix(matrix),
         }
-        self._init_core(directory, matrix, config, durability=durability)
+        self._init_core(
+            directory, matrix, config, durability=durability, shards=online.shards
+        )
         if durability.durable:
             self._wal = WriteAheadLog(
                 os.path.join(directory, WAL_NAME),
@@ -358,6 +425,7 @@ class DurableRuntime:
         config: Dict[str, Any],
         *,
         durability: DurabilityConfig,
+        shards: int = 1,
     ) -> None:
         """Build the in-memory stack from a config dict (shared by the
         fresh-start and recovery paths)."""
@@ -380,18 +448,33 @@ class DurableRuntime:
             max_backlog=int(config["max_backlog"]),
             d_budget=None if d_budget is None else decode_float(d_budget),
         )
-        self._manager = OnlineAssignmentManager(
-            matrix,
-            config["servers"],
-            # .get defaults keep checkpoints/WALs written before the
-            # backend/top_k knobs existed recoverable.
-            OnlineConfig(
-                capacity=config["capacity"],
-                join_policy=config["join_policy"],
-                backend=config.get("backend", "auto"),
-                top_k=int(config.get("top_k", DEFAULT_TOP_K)),
-            ),
+        # .get defaults keep checkpoints/WALs written before the
+        # backend/top_k knobs existed recoverable.
+        online = OnlineConfig(
+            capacity=config["capacity"],
+            join_policy=config["join_policy"],
+            backend=config.get("backend", "auto"),
+            top_k=int(config.get("top_k", DEFAULT_TOP_K)),
+            shards=shards,
         )
+        self._sharded = shards > 1
+        if self._sharded:
+            import numpy as np
+
+            from repro.scale.sharded import ShardedOnlineManager
+
+            # Universe = every node, matching the unsharded manager's
+            # default (a server node may host a client too).
+            self._manager: Any = ShardedOnlineManager(
+                matrix,
+                config["servers"],
+                online,
+                client_nodes=np.arange(matrix.n_nodes, dtype=np.int64),
+            )
+        else:
+            self._manager = OnlineAssignmentManager(
+                matrix, config["servers"], online
+            )
         self._controller = FailoverController(
             self._manager,
             readmit_moves=int(config["readmit_moves"]),
@@ -402,7 +485,7 @@ class DurableRuntime:
         self._last_checkpoint_seq = 0
         self._replaying = False
         self._closed = False
-        self._wal: Optional[Union[WriteAheadLog, _NullWal]] = None
+        self._wal: Optional[Union[WriteAheadLog, _NullWal, _ReplayLog]] = None
 
     # ------------------------------------------------------------------
     # Recovery
@@ -414,27 +497,19 @@ class DurableRuntime:
         matrix: LatencyMatrix,
         *,
         durability: Optional[DurabilityConfig] = None,
-        checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
     ) -> "DurableRuntime":
         """Rebuild a runtime from its directory.
 
         Loads the newest valid checkpoint (invalid ones are skipped
-        with a warning), replays the WAL records after it by
-        re-execution, truncates a torn WAL tail if one is found, and
+        with a warning), replays the WAL records after it through
+        :meth:`apply`, truncates a torn WAL tail if one is found, and
         reopens the WAL for appending. Raises
         :class:`~repro.errors.ResilienceError` when the directory holds
         neither a checkpoint nor a WAL, and
         :class:`~repro.errors.CheckpointError` when the recorded matrix
         fingerprint does not match ``matrix``.
         """
-        durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
-            "DurableRuntime.recover",
-            checkpoint_every=checkpoint_every,
-            fsync_every=fsync_every,
-            keep_checkpoints=keep_checkpoints,
-        )
+        durability = durability or DurabilityConfig()
         if not durability.durable:
             raise InvalidParameterError(
                 "cannot recover with durability mode 'off' — there is "
@@ -468,13 +543,10 @@ class DurableRuntime:
             if checkpoint is not None:
                 runtime._restore_state(checkpoint.state)
                 runtime._last_checkpoint_seq = checkpoint.seq
+            else:
+                runtime._applied_seq = genesis.seq
             tail = [r for r in records if r.seq > runtime._applied_seq]
-            runtime._replaying = True
-            try:
-                for record in tail:
-                    runtime._apply_record(record)
-            finally:
-                runtime._replaying = False
+            runtime._replay(tail)
             last_seq = max(
                 runtime._applied_seq,
                 records[-1].seq if records else 0,
@@ -491,6 +563,24 @@ class DurableRuntime:
             time.perf_counter() - start
         )
         return runtime
+
+    def _replay(self, records: List[WalRecord]) -> None:
+        """Re-execute logged events through :meth:`apply`, in order."""
+        log = _ReplayLog()
+        self._wal = log
+        self._replaying = True
+        try:
+            for record in records:
+                log.record = record
+                try:
+                    self.apply({"op": record.kind, **record.data})
+                except ReproError as exc:
+                    raise ResilienceError(
+                        f"replay of WAL record seq={record.seq} "
+                        f"kind={record.kind!r} failed: {exc}"
+                    ) from exc
+        finally:
+            self._replaying = False
 
     def _restore_state(self, state: Dict[str, Any]) -> None:
         """Adopt a checkpointed state dict, then verify byte identity."""
@@ -639,6 +729,33 @@ class DurableRuntime:
     # ------------------------------------------------------------------
     # Event API (log-then-apply)
     # ------------------------------------------------------------------
+    def apply(self, event: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply one wire-form event; returns its reply envelope.
+
+        The event is validated by :func:`parse_event`, then the op's
+        per-op method checks its preconditions, logs it and applies
+        it. The envelope holds ``op``, ``outcome``, ``d`` (the current
+        D, hex-encoded so it is byte-stable), ``clients``, ``health``
+        and ``seq``, plus the op's own keys (``server``, ``shed``,
+        ``stale``, ``moves``, ...). A rejected event raises before any
+        sequence number is used.
+        """
+        event = parse_event(event)
+        op = event["op"]
+        key, method, reply = _EVENTS[op]
+        value = event[key]
+        outcome, extra = reply(self, value, getattr(self, method)(**{key: value}))
+        envelope = {
+            "op": op,
+            "outcome": outcome,
+            "d": encode_float(self._manager.current_d()),
+            "clients": self._manager.n_clients,
+            "health": self._degrade.state,
+            "seq": self._applied_seq,
+        }
+        envelope.update(extra)
+        return envelope
+
     def join(self, node: int) -> str:
         """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
         self._require_open()
@@ -650,110 +767,6 @@ class DurableRuntime:
         if self._degrade.in_backlog(node):
             raise InvalidAssignmentError(f"client {node} already queued")
         record = self._wal.append("join", {"node": node})
-        return self._apply_join(record)
-
-    def leave(self, node: int) -> str:
-        """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``.
-
-        Tolerant by design: a leave for a node that was queued (still
-        waiting) dequeues it, and one for a node that was rejected or
-        shed is a counted no-op — churn sources need not know the
-        admission outcome of every join they issued.
-        """
-        self._require_open()
-        record = self._wal.append("leave", {"node": int(node)})
-        return self._apply_leave(record)
-
-    def crash(self, server: int) -> CrashRecord:
-        """Fail-stop crash of a (currently up) local server."""
-        self._require_open()
-        server = int(server)
-        if not self._manager.is_active(server):
-            raise InvalidParameterError(f"server {server} is already down")
-        record = self._wal.append("crash", {"server": server})
-        return self._apply_crash(record)
-
-    def recover_server(self, server: int) -> RecoveryRecord:
-        """Recover a (currently down) local server."""
-        self._require_open()
-        server = int(server)
-        if self._manager.is_active(server):
-            raise InvalidParameterError(f"server {server} is already up")
-        record = self._wal.append("recover", {"server": server})
-        return self._apply_recover(record)
-
-    def partition(self, servers: Iterable[int]) -> Tuple[int, ...]:
-        """Make a server subset unreachable; returns stale-served nodes."""
-        self._require_open()
-        subset = sorted(int(s) for s in servers)
-        if not subset:
-            raise InvalidParameterError("partition needs at least one server")
-        for server in subset:
-            if not self._manager.is_reachable(server):
-                raise InvalidParameterError(
-                    f"server {server} is already unreachable"
-                )
-        record = self._wal.append("partition", {"servers": subset})
-        return self._apply_partition(record)
-
-    def heal(self, servers: Iterable[int]) -> None:
-        """Restore reachability of a partitioned server subset."""
-        self._require_open()
-        subset = sorted(int(s) for s in servers)
-        if not subset:
-            raise InvalidParameterError("heal needs at least one server")
-        for server in subset:
-            if self._manager.is_reachable(server):
-                raise InvalidParameterError(f"server {server} is reachable")
-        record = self._wal.append("heal", {"servers": subset})
-        self._apply_heal(record)
-
-    def rebalance(self, *, max_moves: int = 16) -> int:
-        """Bounded Distributed-Greedy repair; returns moves made."""
-        self._require_open()
-        if max_moves < 0:
-            raise InvalidParameterError(
-                f"max_moves must be >= 0, got {max_moves}"
-            )
-        record = self._wal.append("rebalance", {"max_moves": int(max_moves)})
-        return self._apply_rebalance(record)
-
-    # ------------------------------------------------------------------
-    # Appliers (shared verbatim by the replay path)
-    # ------------------------------------------------------------------
-    def _apply_record(self, record: WalRecord) -> None:
-        """Re-execute one WAL record during recovery."""
-        try:
-            if record.kind == "open":
-                self._applied_seq = record.seq
-            elif record.kind == "join":
-                self._apply_join(record)
-            elif record.kind == "leave":
-                self._apply_leave(record)
-            elif record.kind == "crash":
-                self._apply_crash(record)
-            elif record.kind == "recover":
-                self._apply_recover(record)
-            elif record.kind == "partition":
-                self._apply_partition(record)
-            elif record.kind == "heal":
-                self._apply_heal(record)
-            elif record.kind == "rebalance":
-                self._apply_rebalance(record)
-            else:
-                raise ResilienceError(
-                    f"unknown WAL record kind {record.kind!r}"
-                )
-        except ResilienceError:
-            raise
-        except Exception as exc:
-            raise ResilienceError(
-                f"replay of WAL record seq={record.seq} "
-                f"kind={record.kind!r} failed: {exc}"
-            ) from exc
-
-    def _apply_join(self, record: WalRecord) -> str:
-        node = int(record.data["node"])
         if self._degrade.state != HEALTHY:
             outcome = self._degrade.admission_blocked(node, "degraded")
         else:
@@ -767,8 +780,17 @@ class DurableRuntime:
         self._finish_event(record)
         return outcome
 
-    def _apply_leave(self, record: WalRecord) -> str:
-        node = int(record.data["node"])
+    def leave(self, node: int) -> str:
+        """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``.
+
+        Tolerant by design: a leave for a node that was queued (still
+        waiting) dequeues it, and one for a node that was rejected or
+        shed is a counted no-op — churn sources need not know the
+        admission outcome of every join they issued.
+        """
+        self._require_open()
+        node = int(node)
+        record = self._wal.append("leave", {"node": node})
         if self._manager.is_connected(node):
             self._manager.leave(node)
             outcome = "left"
@@ -780,34 +802,72 @@ class DurableRuntime:
         self._finish_event(record)
         return outcome
 
-    def _apply_crash(self, record: WalRecord) -> CrashRecord:
-        server = int(record.data["server"])
+    def crash(self, server: int) -> CrashRecord:
+        """Fail-stop crash of a (currently up) local server."""
+        self._require_faults("crash")
+        server = int(server)
+        if not self._manager.is_active(server):
+            raise InvalidParameterError(f"server {server} is already down")
+        record = self._wal.append("crash", {"server": server})
         crash = self._controller.on_crash(server, time=float(record.seq))
         self._finish_event(record)
         return crash
 
-    def _apply_recover(self, record: WalRecord) -> RecoveryRecord:
-        server = int(record.data["server"])
+    def recover_server(self, server: int) -> RecoveryRecord:
+        """Recover a (currently down) local server."""
+        self._require_faults("recover")
+        server = int(server)
+        if self._manager.is_active(server):
+            raise InvalidParameterError(f"server {server} is already up")
+        record = self._wal.append("recover", {"server": server})
         recovery = self._controller.on_recover(server, time=float(record.seq))
         self._finish_event(record)
         return recovery
 
-    def _apply_partition(self, record: WalRecord) -> Tuple[int, ...]:
+    def partition(self, servers: Iterable[int]) -> Tuple[int, ...]:
+        """Make a server subset unreachable; returns stale-served nodes."""
+        self._require_faults("partition")
+        subset = sorted(int(s) for s in servers)
+        if not subset:
+            raise InvalidParameterError("partition needs at least one server")
+        for server in subset:
+            if not self._manager.is_reachable(server):
+                raise InvalidParameterError(
+                    f"server {server} is already unreachable"
+                )
+        record = self._wal.append("partition", {"servers": subset})
         stale: List[int] = []
-        for server in record.data["servers"]:
-            stale.extend(self._manager.partition_server(int(server)))
+        for server in subset:
+            stale.extend(self._manager.partition_server(server))
         registry().counter("resilience.partitions").inc()
         self._finish_event(record)
         return tuple(sorted(stale))
 
-    def _apply_heal(self, record: WalRecord) -> None:
-        for server in record.data["servers"]:
-            self._manager.heal_server(int(server))
+    def heal(self, servers: Iterable[int]) -> None:
+        """Restore reachability of a partitioned server subset."""
+        self._require_faults("heal")
+        subset = sorted(int(s) for s in servers)
+        if not subset:
+            raise InvalidParameterError("heal needs at least one server")
+        for server in subset:
+            if self._manager.is_reachable(server):
+                raise InvalidParameterError(f"server {server} is reachable")
+        record = self._wal.append("heal", {"servers": subset})
+        for server in subset:
+            self._manager.heal_server(server)
         registry().counter("resilience.heals").inc()
         self._finish_event(record)
 
-    def _apply_rebalance(self, record: WalRecord) -> int:
-        moves = self._manager.rebalance(max_moves=int(record.data["max_moves"]))
+    def rebalance(self, *, max_moves: int = DEFAULT_REBALANCE_MOVES) -> int:
+        """Bounded Distributed-Greedy repair; returns moves made."""
+        self._require_open()
+        max_moves = int(max_moves)
+        if max_moves < 0:
+            raise InvalidParameterError(
+                f"max_moves must be >= 0, got {max_moves}"
+            )
+        record = self._wal.append("rebalance", {"max_moves": max_moves})
+        moves = self._manager.rebalance(max_moves=max_moves)
         self._finish_event(record)
         return moves
 
@@ -828,6 +888,14 @@ class DurableRuntime:
     def _require_open(self) -> None:
         if self._closed or self._wal is None or self._wal.closed:
             raise ResilienceError("runtime is closed")
+
+    def _require_faults(self, op: str) -> None:
+        self._require_open()
+        if self._sharded:
+            raise SessionStateError(
+                f"sharded sessions do not support server fault events "
+                f"({op}); open the session with shards=1 for fault testing"
+            )
 
     def close(self) -> None:
         """Sync the WAL and release resources (idempotent)."""

@@ -166,6 +166,14 @@ class ShardedOnlineManager:
         """Number of servers accepting clients (always all of them)."""
         return self.n_servers
 
+    def is_active(self, server: int) -> bool:
+        """Whether ``server`` is up (always; no fault events)."""
+        return True
+
+    def is_reachable(self, server: int) -> bool:
+        """Whether ``server`` is reachable (always; no fault events)."""
+        return True
+
     @property
     def capacity(self) -> Optional[int]:
         """The per-server capacity, if any."""

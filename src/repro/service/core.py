@@ -28,37 +28,25 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algorithms.online import OnlineConfig
 from repro.core import interaction_lower_bound
 from repro.errors import (
     BadRequestError,
-    CapacityError,
-    InvalidAssignmentError,
     InvalidParameterError,
     ReproError,
-    ResilienceError,
     SessionStateError,
     UnknownOperationError,
     UnknownSessionError,
 )
 from repro.net.latency import LatencyMatrix
 from repro.obs import fingerprint_matrix, registry
-from repro.resilience.checkpoint import encode_float, state_digest
-from repro.resilience.degrade import HEALTHY, DegradePolicy
-from repro.resilience.runtime import (
-    DurabilityConfig,
-    DurableRuntime,
-    _NullWal,
-)
+from repro.resilience.checkpoint import encode_float
+from repro.resilience.degrade import DegradePolicy
+from repro.resilience.runtime import EVENT_OPS, DurabilityConfig, DurableRuntime
 from repro.service.protocol import OPS, error_reply, ok_reply, parse_request
 from repro._version import __version__
-
-#: Session event operations (allowed inside ``batch``).
-EVENT_OPS = frozenset(
-    {"join", "leave", "crash", "recover", "partition", "heal", "rebalance"}
-)
 
 #: Supported ``query`` targets.
 QUERY_WHATS = frozenset(
@@ -267,198 +255,6 @@ class SessionInfo:
         }
 
 
-class ShardedSessionRuntime:
-    """Volatile runtime for region-sharded sessions (``shards > 1``).
-
-    Presents the slice of the :class:`~repro.resilience.runtime.
-    DurableRuntime` surface that :class:`Session` drives — join/leave/
-    rebalance with the same outcome vocabulary, the degraded-mode state
-    machine, queries, digests — over a
-    :class:`~repro.scale.sharded.ShardedOnlineManager` instead of a
-    single full-universe manager. Sharded sessions are **volatile
-    only** (enforced by :class:`SessionConfig`): there is no WAL, no
-    checkpoints, and server fault events (crash/recover/partition/heal)
-    raise :class:`~repro.errors.SessionStateError` — the sharded
-    manager does not model per-server fault state.
-
-    ``applied_seq`` counts applied events (monotone from 1), playing
-    the role the WAL sequence number plays in durable sessions.
-    """
-
-    def __init__(
-        self,
-        matrix: LatencyMatrix,
-        servers: Tuple[int, ...],
-        *,
-        online: OnlineConfig,
-        policy: "DegradePolicy",
-    ) -> None:
-        import numpy as np
-
-        from repro.resilience.degrade import DegradeController
-        from repro.scale.sharded import ShardedOnlineManager
-
-        self._matrix = matrix
-        # Universe = every node, matching the unsharded manager's
-        # default (a server node may host a client too).
-        self._manager = ShardedOnlineManager(
-            matrix,
-            servers,
-            online,
-            client_nodes=np.arange(matrix.n_nodes, dtype=np.int64),
-        )
-        self._degrade = DegradeController(self._manager, policy)
-        self._config: Dict[str, Any] = {
-            "servers": [int(s) for s in servers],
-            "capacity": online.capacity,
-            "join_policy": online.join_policy,
-            "shards": int(self._manager.n_shards),
-            "max_backlog": policy.max_backlog,
-            "d_budget": (
-                None
-                if policy.d_budget is None
-                else encode_float(policy.d_budget)
-            ),
-            "matrix_fingerprint": fingerprint_matrix(matrix),
-        }
-        self._applied_seq = 0
-        self._closed = False
-
-    # -- introspection -------------------------------------------------
-    @property
-    def manager(self) -> Any:
-        """The wrapped :class:`ShardedOnlineManager`."""
-        return self._manager
-
-    @property
-    def degrade(self) -> Any:
-        """The degraded-mode state machine."""
-        return self._degrade
-
-    @property
-    def health(self) -> str:
-        return self._degrade.state
-
-    @property
-    def n_clients(self) -> int:
-        return self._manager.n_clients
-
-    @property
-    def applied_seq(self) -> int:
-        return self._applied_seq
-
-    @property
-    def wal(self) -> _NullWal:
-        """No log exists for volatile sharded sessions (``path`` None)."""
-        return _NullWal(next_seq=self._applied_seq + 1)
-
-    def current_d(self) -> float:
-        """The current global maximum interaction path length."""
-        return self._manager.current_d()
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-serializable state (the digest basis)."""
-        manager = self._manager
-        return {
-            "schema": "sharded-volatile-v1",
-            "config": dict(self._config),
-            "applied_seq": self._applied_seq,
-            "manager": {
-                "assigned": [
-                    [int(node), int(manager.server_of(node))]
-                    for node in manager.clients
-                ],
-                "d": encode_float(manager.current_d()),
-            },
-            "degrade": self._degrade.to_dict(),
-        }
-
-    def digest(self) -> str:
-        """SHA-256 digest of :meth:`state_dict`."""
-        return state_digest(self.state_dict())
-
-    # -- events --------------------------------------------------------
-    def join(self, node: int) -> str:
-        """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
-        self._require_open()
-        node = int(node)
-        if not 0 <= node < self._matrix.n_nodes:
-            raise InvalidAssignmentError(f"client node {node} out of range")
-        if self._manager.is_connected(node):
-            raise InvalidAssignmentError(f"client {node} already connected")
-        if self._degrade.in_backlog(node):
-            raise InvalidAssignmentError(f"client {node} already queued")
-        self._applied_seq += 1
-        if self._degrade.state != HEALTHY:
-            outcome = self._degrade.admission_blocked(node, "degraded")
-        else:
-            try:
-                self._manager.join(node)
-                outcome = "assigned"
-            except CapacityError:
-                outcome = self._degrade.admission_blocked(
-                    node, "capacity-exhausted"
-                )
-        self._degrade.tick()
-        return outcome
-
-    def leave(self, node: int) -> str:
-        """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``."""
-        self._require_open()
-        node = int(node)
-        self._applied_seq += 1
-        if self._manager.is_connected(node):
-            self._manager.leave(node)
-            outcome = "left"
-        elif self._degrade.discard_queued(node):
-            outcome = "dequeued"
-        else:
-            registry().counter("resilience.absent_leaves").inc()
-            outcome = "absent"
-        self._degrade.tick()
-        return outcome
-
-    def rebalance(self, *, max_moves: int = 16) -> int:
-        """Bounded repair across shards; returns moves made."""
-        self._require_open()
-        if max_moves < 0:
-            raise InvalidParameterError(
-                f"max_moves must be >= 0, got {max_moves}"
-            )
-        self._applied_seq += 1
-        moves = self._manager.rebalance(max_moves=int(max_moves))
-        self._degrade.tick()
-        return moves
-
-    # -- unsupported fault events --------------------------------------
-    def _no_faults(self, op: str) -> "Any":
-        raise SessionStateError(
-            f"sharded sessions do not support server fault events "
-            f"({op}); open the session with shards=1 for fault testing"
-        )
-
-    def crash(self, server: int) -> Any:
-        return self._no_faults("crash")
-
-    def recover_server(self, server: int) -> Any:
-        return self._no_faults("recover")
-
-    def partition(self, servers: Any) -> Any:
-        return self._no_faults("partition")
-
-    def heal(self, servers: Any) -> Any:
-        return self._no_faults("heal")
-
-    # -- lifecycle -----------------------------------------------------
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ResilienceError("runtime is closed")
-
-    def close(self) -> None:
-        """Release the runtime (idempotent; nothing to sync)."""
-        self._closed = True
-
-
 class Session:
     """One live assignment world inside the service."""
 
@@ -467,7 +263,7 @@ class Session:
         session_id: str,
         config: SessionConfig,
         matrix: LatencyMatrix,
-        runtime: Union[DurableRuntime, ShardedSessionRuntime],
+        runtime: DurableRuntime,
     ) -> None:
         self.id = session_id
         self.config = config
@@ -487,77 +283,12 @@ class Session:
             durability=self.config.durability.mode,
         )
 
-    def _event_envelope(self, op: str, outcome: str, **extra: Any) -> Dict[str, Any]:
-        """The canonical per-event reply.
-
-        ``d`` is the hex-encoded current D (byte-stable across paths);
-        the same five keys — op, outcome, d, clients, health — form
-        the trajectory entries of the output-equivalence contract.
-        """
+    def apply_event(self, event: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply one wire-form session event; returns its reply envelope
+        (see :meth:`~repro.resilience.runtime.DurableRuntime.apply`)."""
+        envelope = self.runtime.apply(event)
         self.events += 1
-        runtime = self.runtime
-        result = {
-            "op": op,
-            "outcome": outcome,
-            "d": encode_float(runtime.current_d()),
-            "clients": runtime.n_clients,
-            "health": runtime.health,
-            "seq": runtime.applied_seq,
-        }
-        result.update(extra)
-        return result
-
-    def apply_event(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one session event and build its reply envelope."""
-        runtime = self.runtime
-        if op == "join":
-            node = _require_int(params, "node")
-            outcome = runtime.join(node)
-            server = (
-                runtime.manager.server_of(node)
-                if outcome == "assigned"
-                else None
-            )
-            return self._event_envelope(op, outcome, server=server)
-        if op == "leave":
-            node = _require_int(params, "node")
-            return self._event_envelope(op, runtime.leave(node))
-        if op == "crash":
-            server = _require_int(params, "server")
-            record = runtime.crash(server)
-            return self._event_envelope(
-                op,
-                "crashed",
-                server=server,
-                evacuated=record.n_evacuated,
-                shed=[int(c) for c in record.shed],
-            )
-        if op == "recover":
-            server = _require_int(params, "server")
-            record = runtime.recover_server(server)
-            return self._event_envelope(
-                op,
-                "recovered",
-                server=server,
-                rebalance_moves=record.rebalance_moves,
-            )
-        if op == "partition":
-            servers = _require_int_list(params, "servers")
-            stale = runtime.partition(servers)
-            return self._event_envelope(
-                op, "partitioned", servers=servers, stale=[int(c) for c in stale]
-            )
-        if op == "heal":
-            servers = _require_int_list(params, "servers")
-            runtime.heal(servers)
-            return self._event_envelope(op, "healed", servers=servers)
-        if op == "rebalance":
-            max_moves = params.get("max_moves", 16)
-            if not isinstance(max_moves, int) or isinstance(max_moves, bool):
-                raise BadRequestError("'max_moves' must be an integer")
-            moves = runtime.rebalance(max_moves=max_moves)
-            return self._event_envelope(op, "rebalanced", moves=moves)
-        raise UnknownOperationError(f"unknown session event op {op!r}")
+        return envelope
 
     def query(self, what: str) -> Dict[str, Any]:
         """Read-only session introspection."""
@@ -620,22 +351,6 @@ class Session:
         if not self.closed:
             self.closed = True
             self.runtime.close()
-
-
-def _require_int(params: Dict[str, Any], key: str) -> int:
-    value = params.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadRequestError(f"'{key}' must be an integer")
-    return value
-
-
-def _require_int_list(params: Dict[str, Any], key: str) -> List[int]:
-    value = params.get(key)
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise BadRequestError(f"'{key}' must be a non-empty list of integers")
-    return [int(v) for v in value]
 
 
 class AssignmentService:
@@ -721,24 +436,16 @@ class AssignmentService:
         directory = (
             self._session_dir(session_id) if config.durability.durable else None
         )
-        if config.online.shards > 1:
-            runtime: Any = ShardedSessionRuntime(
-                matrix,
-                servers,
-                online=config.online,
-                policy=config.degrade_policy(),
-            )
-        else:
-            runtime = DurableRuntime(
-                directory,
-                matrix,
-                servers,
-                online=config.online,
-                durability=config.durability,
-                readmit_moves=config.readmit_moves,
-                shed_policy=config.shed_policy,
-                policy=config.degrade_policy(),
-            )
+        runtime = DurableRuntime(
+            directory,
+            matrix,
+            servers,
+            online=config.online,
+            durability=config.durability,
+            readmit_moves=config.readmit_moves,
+            shed_policy=config.shed_policy,
+            policy=config.degrade_policy(),
+        )
         session = Session(session_id, config, matrix, runtime)
         self._sessions[session_id] = session
         self._next_session += 1
@@ -842,7 +549,7 @@ class AssignmentService:
             return self._batch(request)
         if op in EVENT_OPS:
             session = self.session(request.get("session"))
-            result = session.apply_event(op, request)
+            result = session.apply_event(request)
             registry().counter(f"service.events.{op}").inc()
             return result
         raise UnknownOperationError(f"unknown op {op!r}")
@@ -871,7 +578,7 @@ class AssignmentService:
                     f"got {op!r}"
                 )
             try:
-                results.append(session.apply_event(op, event))
+                results.append(session.apply_event(event))
                 metrics.counter(f"service.events.{op}").inc()
             except ReproError as exc:
                 metrics.counter("service.errors").inc()

@@ -13,8 +13,10 @@ This duplication is the point: the replayer is an *independent*
 implementation of the event semantics, so the equivalence suite
 (``tests/service/test_equivalence.py``) comparing it byte-for-byte
 against the service catches a divergence introduced on either side.
-The envelopes carry the same canonical keys as
-:meth:`repro.service.core.Session._event_envelope` (``op``,
+Only event parsing is shared (:func:`~repro.resilience.runtime.
+parse_event`): field validation is not the semantics under test. The
+envelopes carry the same canonical keys as
+:meth:`repro.resilience.runtime.DurableRuntime.apply` (``op``,
 ``outcome``, ``d`` hex-encoded, ``clients``, ``health``, ``seq``), and
 the digest is computed over a state dict laid out exactly like
 :meth:`repro.resilience.runtime.DurableRuntime.state_dict`.
@@ -32,7 +34,6 @@ from repro.errors import (
     InvalidAssignmentError,
     InvalidParameterError,
     ReproError,
-    UnknownOperationError,
     error_code,
 )
 from repro.faults.failover import FailoverController
@@ -40,8 +41,8 @@ from repro.net.latency import LatencyMatrix
 from repro.obs import fingerprint_matrix
 from repro.resilience.checkpoint import encode_float, state_digest
 from repro.resilience.degrade import HEALTHY, DegradeController
-from repro.resilience.runtime import STATE_SCHEMA
-from repro.service.core import EVENT_OPS, SessionConfig
+from repro.resilience.runtime import STATE_SCHEMA, parse_event
+from repro.service.core import SessionConfig
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,12 @@ class _Replayer:
         # Seq 1 is the runtime's "open" genesis record; events follow.
         self.seq = 1
 
-    # -- event semantics (mirrors DurableRuntime._apply_*) -------------
+    # -- event semantics (mirrors DurableRuntime's per-op methods) ------
     def apply(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        op = event.get("op")
-        if op not in EVENT_OPS:
-            raise UnknownOperationError(f"unknown session event op {op!r}")
-        handler = getattr(self, f"_apply_{op}")
+        # Parsing is shared with the runtime (it is not the semantics
+        # under test); everything after it is this module's own.
+        event = parse_event(event)
+        handler = getattr(self, f"_apply_{event['op']}")
         self.seq += 1
         try:
             return handler(event)
@@ -124,7 +125,7 @@ class _Replayer:
         return result
 
     def _apply_join(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        node = int(event["node"])
+        node = event["node"]
         if not 0 <= node < self.matrix.n_nodes:
             raise InvalidAssignmentError(f"client node {node} out of range")
         if self.manager.is_connected(node):
@@ -147,7 +148,7 @@ class _Replayer:
         return self._envelope("join", outcome, server=server)
 
     def _apply_leave(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        node = int(event["node"])
+        node = event["node"]
         if self.manager.is_connected(node):
             self.manager.leave(node)
             outcome = "left"
@@ -158,7 +159,7 @@ class _Replayer:
         return self._envelope("leave", outcome)
 
     def _apply_crash(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        server = int(event["server"])
+        server = event["server"]
         if not self.manager.is_active(server):
             raise InvalidParameterError(f"server {server} is already down")
         record = self.controller.on_crash(server, time=float(self.seq))
@@ -171,7 +172,7 @@ class _Replayer:
         )
 
     def _apply_recover(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        server = int(event["server"])
+        server = event["server"]
         if self.manager.is_active(server):
             raise InvalidParameterError(f"server {server} is already up")
         record = self.controller.on_recover(server, time=float(self.seq))
@@ -183,9 +184,7 @@ class _Replayer:
         )
 
     def _apply_partition(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        servers = sorted(int(s) for s in event["servers"])
-        if not servers:
-            raise InvalidParameterError("partition needs at least one server")
+        servers = event["servers"]
         for server in servers:
             if not self.manager.is_reachable(server):
                 raise InvalidParameterError(
@@ -202,9 +201,7 @@ class _Replayer:
         )
 
     def _apply_heal(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        servers = sorted(int(s) for s in event["servers"])
-        if not servers:
-            raise InvalidParameterError("heal needs at least one server")
+        servers = event["servers"]
         for server in servers:
             if self.manager.is_reachable(server):
                 raise InvalidParameterError(f"server {server} is reachable")
@@ -213,7 +210,11 @@ class _Replayer:
         return self._envelope("heal", "healed", servers=servers)
 
     def _apply_rebalance(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        max_moves = int(event.get("max_moves", 16))
+        max_moves = event["max_moves"]
+        if max_moves < 0:
+            raise InvalidParameterError(
+                f"max_moves must be >= 0, got {max_moves}"
+            )
         moves = self.manager.rebalance(max_moves=max_moves)
         return self._envelope("rebalance", "rebalanced", moves=moves)
 

@@ -170,6 +170,16 @@ class TestSummarizeFile:
         assert "per-phase breakdown" in out
         assert "dga.runs" in out
 
+    def test_obs_missing_file_is_one_line_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["obs", str(tmp_path / "missing.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [invalid-parameter]: ")
+        assert "missing.jsonl" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestKernelTiming:
     def _trace_with_kernels(self):

@@ -1,6 +1,4 @@
-"""DurabilityConfig: validation, volatile mode, and the legacy shim."""
-
-import warnings
+"""DurabilityConfig: validation, volatile mode, runtime construction."""
 
 import pytest
 
@@ -60,29 +58,23 @@ class TestRuntimeConstruction:
             assert runtime.join(1) == "assigned"
             assert runtime.applied_seq == 2
 
-    def test_legacy_kwargs_warn_but_work(self, small_world, tmp_path):
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("capacity", 4),
+            ("join_policy", "nearest"),
+            ("checkpoint_every", 5),
+            ("fsync_every", 1),
+            ("keep_checkpoints", 3),
+        ],
+    )
+    def test_legacy_keywords_are_gone(self, small_world, tmp_path, keyword, value):
         matrix, servers = small_world
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            runtime = DurableRuntime(
-                tmp_path / "rt", matrix, servers, checkpoint_every=5,
-                fsync_every=1,
-            )
-        assert runtime.durability.checkpoint_every == 5
-        assert runtime.durability.fsync_every == 1
-        runtime.close()
-
-    def test_double_specification_rejected(self, small_world, tmp_path):
-        matrix, servers = small_world
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(InvalidParameterError, match="both"):
-                DurableRuntime(
-                    tmp_path / "rt2",
-                    matrix,
-                    servers,
-                    durability=DurabilityConfig(checkpoint_every=5),
-                    checkpoint_every=7,
-                )
+        with pytest.raises(TypeError, match=keyword):
+            DurableRuntime(tmp_path / "rt", matrix, servers, **{keyword: value})
+        if keyword in DurabilityConfig.__dataclass_fields__:
+            with pytest.raises(TypeError, match=keyword):
+                DurableRuntime.recover(tmp_path, matrix, **{keyword: value})
 
     def test_recover_refuses_off_mode(self, small_world, tmp_path):
         matrix, servers = small_world

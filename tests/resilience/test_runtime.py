@@ -4,16 +4,25 @@ import os
 
 import pytest
 
+from repro.algorithms.online import OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import (
+    BadRequestError,
     CheckpointError,
     InvalidAssignmentError,
     InvalidParameterError,
     ResilienceError,
+    SessionStateError,
+    UnknownOperationError,
 )
 from repro.placement import random_placement
-from repro.resilience import DegradePolicy, DurableRuntime, list_checkpoints
-from repro.resilience.runtime import WAL_NAME
+from repro.resilience import (
+    DegradePolicy,
+    DurabilityConfig,
+    DurableRuntime,
+    list_checkpoints,
+)
+from repro.resilience.runtime import WAL_NAME, parse_event
 
 
 @pytest.fixture
@@ -107,7 +116,11 @@ class TestEventApi:
         nodes = client_nodes(matrix, servers, 5)
         policy = DegradePolicy(max_backlog=1)
         with DurableRuntime(
-            tmp_path, matrix, servers, capacity=1, policy=policy
+            tmp_path,
+            matrix,
+            servers,
+            online=OnlineConfig(capacity=1),
+            policy=policy,
         ) as runtime:
             assert [runtime.join(n) for n in nodes[:3]] == ["assigned"] * 3
             assert runtime.join(nodes[3]) == "queued"
@@ -147,7 +160,10 @@ class TestRecovery:
     def test_byte_identical_with_checkpoint(self, tmp_path, matrix, servers):
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=4
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=4),
         )
         churn(runtime, nodes)
         expected = runtime.digest()
@@ -164,7 +180,10 @@ class TestRecovery:
         """checkpoint_every=None: recovery replays the whole log."""
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=None
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=None),
         )
         churn(runtime, nodes)
         expected = runtime.digest()
@@ -209,7 +228,11 @@ class TestRecovery:
         nodes = client_nodes(matrix, servers, 5)
         policy = DegradePolicy(max_backlog=4)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, capacity=1, policy=policy
+            tmp_path,
+            matrix,
+            servers,
+            online=OnlineConfig(capacity=1),
+            policy=policy,
         )
         for node in nodes[:3]:
             runtime.join(node)
@@ -237,7 +260,10 @@ class TestRecovery:
     ):
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=3, keep_checkpoints=3
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=3, keep_checkpoints=3),
         )
         churn(runtime, nodes)
         expected = runtime.digest()
@@ -270,3 +296,126 @@ class TestStateDict:
             state = runtime.state_dict()
         json.dumps(state)  # must not raise
         assert state["schema"] == 1
+
+
+def churn_events(nodes):
+    """:func:`churn` in wire form."""
+    return [
+        *({"op": "join", "node": n} for n in nodes[:6]),
+        {"op": "leave", "node": nodes[1]},
+        {"op": "crash", "server": 0},
+        {"op": "join", "node": nodes[6]},
+        {"op": "partition", "servers": [1]},
+        {"op": "leave", "node": nodes[2]},
+        {"op": "heal", "servers": [1]},
+        {"op": "recover", "server": 0},
+        {"op": "rebalance", "max_moves": 4},
+    ]
+
+
+def volatile(matrix, servers, **online):
+    return DurableRuntime(
+        None,
+        matrix,
+        servers,
+        online=OnlineConfig(**online),
+        durability=DurabilityConfig(mode="off"),
+    )
+
+
+class TestApply:
+    def test_apply_matches_per_op_methods(self, matrix, servers):
+        nodes = client_nodes(matrix, servers, 8)
+        with volatile(matrix, servers) as by_method:
+            churn(by_method, nodes)
+            with volatile(matrix, servers) as by_event:
+                envelopes = [by_event.apply(e) for e in churn_events(nodes)]
+                assert by_event.digest() == by_method.digest()
+        assert [e["seq"] for e in envelopes] == list(range(2, 2 + len(envelopes)))
+        assert [e["outcome"] for e in envelopes] == (
+            ["assigned"] * 6
+            + ["left", "crashed", "assigned", "partitioned", "left"]
+            + ["healed", "recovered", "rebalanced"]
+        )
+        assert envelopes[0]["server"] is not None
+        assert envelopes[-1]["moves"] >= 0
+        assert set(envelopes[7]) >= {"server", "evacuated", "shed"}
+
+    @pytest.mark.parametrize(
+        "event, error",
+        [
+            ({"op": "join", "node": True}, BadRequestError),
+            ({"op": "join", "node": 2.0}, BadRequestError),
+            ({"op": "join"}, BadRequestError),
+            ({"op": "partition", "servers": []}, BadRequestError),
+            ({"op": "rebalance", "max_moves": -1}, InvalidParameterError),
+            ({"op": "teleport", "node": 1}, UnknownOperationError),
+        ],
+    )
+    def test_rejected_event_uses_no_seq(self, matrix, servers, event, error):
+        with volatile(matrix, servers) as runtime:
+            before = runtime.digest()
+            with pytest.raises(error):
+                runtime.apply(event)
+            assert runtime.digest() == before
+            assert runtime.apply({"op": "rebalance"})["seq"] == 2
+
+    def test_parse_event_canonical_form(self):
+        assert parse_event({"op": "heal", "servers": [3, 1], "id": 9}) == {
+            "op": "heal",
+            "servers": [1, 3],
+        }
+        assert parse_event({"op": "rebalance"}) == {
+            "op": "rebalance",
+            "max_moves": 16,
+        }
+
+    def test_recovery_replays_logged_events(self, tmp_path, matrix, servers):
+        nodes = client_nodes(matrix, servers, 8)
+        runtime = DurableRuntime(
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=None),
+        )
+        for event in churn_events(nodes):
+            runtime.apply(event)
+        expected = runtime.digest()
+        runtime.abandon()
+        recovered = DurableRuntime.recover(tmp_path, matrix)
+        assert recovered.digest() == expected
+        recovered.close()
+
+
+class TestShardedRuntime:
+    def test_digest_equals_unsharded(self, matrix, servers):
+        nodes = client_nodes(matrix, servers, 12)
+        with volatile(matrix, servers) as flat, volatile(
+            matrix, servers, shards=3
+        ) as sharded:
+            for node in nodes:
+                assert flat.apply({"op": "join", "node": node}) == sharded.apply(
+                    {"op": "join", "node": node}
+                )
+            for node in nodes[::3]:
+                assert flat.leave(node) == sharded.leave(node)
+            assert sharded.digest() == flat.digest()
+
+    def test_fault_events_refused_before_seq(self, matrix, servers):
+        with volatile(matrix, servers, shards=2) as runtime:
+            before = runtime.digest()
+            for call in (
+                lambda: runtime.crash(0),
+                lambda: runtime.recover_server(0),
+                lambda: runtime.partition([1]),
+                lambda: runtime.heal([1]),
+            ):
+                with pytest.raises(SessionStateError, match="shards=1"):
+                    call()
+            assert runtime.digest() == before
+
+    def test_sharded_runtime_is_volatile_only(self, tmp_path, matrix, servers):
+        with pytest.raises(InvalidParameterError, match="volatile"):
+            DurableRuntime(
+                tmp_path, matrix, servers, online=OnlineConfig(shards=2)
+            )

@@ -187,6 +187,31 @@ class TestWireEquivalence:
         assert _canonical(trajectory) == _canonical(lib.trajectory[:2000])
 
 
+#: Events the wire rejects by validation or precondition; the library
+#: replayer must reject them identically and keep going.
+MALFORMED_EVENTS = [
+    pytest.param({"op": "rebalance", "max_moves": -1}, id="negative-moves"),
+    pytest.param({"op": "join", "node": True}, id="bool-node"),
+    pytest.param({"op": "join", "node": 1.0}, id="float-node"),
+    pytest.param({"op": "rebalance", "max_moves": True}, id="bool-moves"),
+    pytest.param({"op": "join"}, id="missing-node"),
+]
+
+
+@pytest.mark.parametrize("bad_event", MALFORMED_EVENTS)
+def test_malformed_event_matches_library(bad_event):
+    config = SessionConfig(nodes=40, n_servers=4, online=OnlineConfig(capacity=8))
+    matrix = config.build_matrix()
+    servers = config.resolve_servers(matrix)
+    events = generate_events(40, servers, n_events=40, seed=3)
+    stream = events[:20] + [bad_event] + events[20:]
+    lib = replay_events(matrix, config, stream)
+    traj, digest, _ = _service_run(config, stream)
+    assert "error" in traj[20]
+    assert _canonical(traj) == _canonical(lib.trajectory)
+    assert digest == lib.digest
+
+
 def _config_kwargs(config: SessionConfig) -> dict:
     return {
         "nodes": config.nodes,

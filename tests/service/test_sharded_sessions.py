@@ -43,18 +43,24 @@ def _trajectory(seed=23, n_events=60, nodes=60):
     return events
 
 
+def _digest(service, sid):
+    return service.handle({"op": "query", "session": sid, "what": "digest"})[
+        "result"
+    ]
+
+
 def test_sharded_session_matches_unsharded_over_the_wire(service):
     """Same nodes, seeds and event sequence: a shards=4 session must
-    report identical servers, D values and outcomes as shards=1."""
+    return the same whole replies (seq included) and reach the same
+    state digest as shards=1."""
     flat = _open(service, shards=1, session="flat")
     sharded = _open(service, shards=4, session="sharded")
     for op, node in _trajectory():
         a = service.handle({"op": op, "session": flat, "node": node})
         b = service.handle({"op": op, "session": sharded, "node": node})
         assert a["ok"] and b["ok"], (a, b)
-        assert a["result"]["outcome"] == b["result"]["outcome"]
-        assert a["result"]["d"] == b["result"]["d"]  # hex-exact
-        assert a["result"].get("server") == b["result"].get("server")
+        assert a == b
+    assert _digest(service, flat) == _digest(service, sharded)
     stats_a = service.handle(
         {"op": "query", "session": flat, "what": "stats"}
     )["result"]
@@ -69,6 +75,7 @@ def test_sharded_session_matches_unsharded_over_the_wire(service):
 def test_fault_events_rejected_on_sharded_sessions(service):
     sid = _open(service, shards=2)
     service.handle({"op": "join", "session": sid, "node": 1})
+    before = _digest(service, sid)
     for request in (
         {"op": "crash", "session": sid, "server": 0},
         {"op": "recover", "session": sid, "server": 0},
@@ -85,6 +92,10 @@ def test_fault_events_rejected_on_sharded_sessions(service):
     )["result"]
     assert stats["n_clients"] == 1
     assert stats["n_usable"] == 6
+    # ...and it used no sequence number.
+    assert _digest(service, sid) == before
+    joined = service.handle({"op": "join", "session": sid, "node": 2})
+    assert joined["result"]["seq"] == before["seq"] + 1
 
 
 def test_sharded_sessions_are_volatile_only(service):
