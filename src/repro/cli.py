@@ -972,11 +972,23 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if args.save:
         import json
 
-        with open(args.save, "w", encoding="utf-8") as fh:
+        with _open_arg_file(args.save, "w", "summary file") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote scale-solve summary to {args.save}")
     return 0
+
+
+def _open_arg_file(path: str, mode: str, what: str):
+    """``open`` a file named on the command line; failure is an
+    ``invalid-parameter`` error, not a traceback."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise InvalidParameterError(
+            f"cannot {verb} {what} {path!r}: {exc.strerror}"
+        ) from None
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -996,7 +1008,7 @@ def _load_scenario(args: argparse.Namespace):
     from repro.scenarios import Scenario, bundled_scenario
 
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with _open_arg_file(args.file, "r", "scenario file") as fh:
             return Scenario.loads(fh.read())
     return bundled_scenario(args.scenario)
 
@@ -1021,7 +1033,7 @@ def _write_json_doc(doc: dict, args: argparse.Namespace) -> None:
 
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_arg_file(args.out, "w", "JSON report") as fh:
             fh.write(text + "\n")
         print(f"wrote JSON report to {args.out}")
     if args.json:

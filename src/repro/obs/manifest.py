@@ -44,17 +44,32 @@ MANIFEST_ENV = "REPRO_OBS_MANIFEST"
 
 
 def fingerprint_matrix(matrix: Any) -> str:
-    """A short stable content fingerprint of a latency matrix.
+    """A short stable content fingerprint of a latency source.
 
-    SHA-256 over the shape and the raw float bytes of
-    ``matrix.values`` (made C-contiguous first so layout never leaks
-    into the digest), truncated to 16 hex chars — collision-safe at the
-    scale of "did two runs use the same dataset".
+    For a dense matrix, SHA-256 over the shape, dtype and raw float
+    bytes of ``matrix.values`` (made C-contiguous first so layout never
+    leaks into the digest). For a provider without dense values that
+    exposes ``content_token()`` (such as
+    :class:`~repro.net.provider.CoordinateProvider`), SHA-256 over that
+    token. Truncated to 16 hex chars — collision-safe at the scale of
+    "did two runs use the same dataset". Raises :class:`TypeError` for
+    a source with neither.
     """
     import numpy as np
 
-    values = np.ascontiguousarray(matrix.values)
     digest = hashlib.sha256()
+    values = getattr(matrix, "values", None)
+    if values is None:
+        content_token = getattr(matrix, "content_token", None)
+        if content_token is None:
+            raise TypeError(
+                f"cannot fingerprint {type(matrix).__name__}: it has "
+                f"neither dense values nor content_token()"
+            )
+        digest.update(b"content-token:")
+        digest.update(content_token().encode("ascii"))
+        return digest.hexdigest()[:16]
+    values = np.ascontiguousarray(values)
     digest.update(str(values.shape).encode("ascii"))
     digest.update(str(values.dtype).encode("ascii"))
     digest.update(values.tobytes())

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import ClientAssignmentProblem, interaction_lower_bound
 from repro.net.latency import LatencyMatrix
+from repro.obs.manifest import fingerprint_matrix
 from repro.obs.metrics import registry
 from repro.placement import kcenter_a, kcenter_b, random_placement
 
@@ -219,9 +220,10 @@ class LowerBoundCache:
     set, and comparing P policies on the same scenario repeats each of
     those P times.
 
-    Dense matrices are fingerprinted by content
+    Dense matrices and providers with a ``content_token()`` are
+    fingerprinted by content
     (:func:`repro.obs.manifest.fingerprint_matrix`, memoized per matrix
-    object since the bytes never change); synthetic providers fall back
+    object since the content never changes); opaque providers fall back
     to object identity, with the provider referenced by the entry so its
     id cannot be recycled while the entry lives.
     """
@@ -263,16 +265,11 @@ class LowerBoundCache:
         token = self._fingerprints.get(id(matrix))
         if token is not None:
             return token
-        if getattr(matrix, "values", None) is not None:
-            from repro.obs.manifest import fingerprint_matrix
-
+        try:
             token = f"fp:{fingerprint_matrix(matrix)}"
-        else:
-            content_token = getattr(matrix, "content_token", None)
-            if content_token is None:
-                # Opaque provider: identity, pinned below via the entry.
-                return f"id:{id(matrix)}"
-            token = f"ct:{content_token()}"
+        except TypeError:
+            # Opaque provider: identity, pinned below via the entry.
+            return f"id:{id(matrix)}"
         self._fingerprints[id(matrix)] = token
         self._fp_pins[id(matrix)] = matrix
         return token

@@ -20,12 +20,15 @@ Lower bounds are served by the process-global
 on one scenario recomputes each checkpoint bound once, not P times
 (hit/miss counters land in the ``repro obs`` report).
 
-Three execution paths: ``library`` (a plain
-:class:`~repro.algorithms.online.OnlineAssignmentManager`), ``sharded``
-(:class:`~repro.scale.sharded.ShardedOnlineManager`; fault events are
-rejected, mirroring the service's sharded sessions), and ``wire`` (a
-live :mod:`repro.service` TCP session; meridian/mit instances without
-fault events). :func:`compare_policies` fans replays out through
+One replay loop serves three paths: each checkpoint chunk of the trace
+goes, as wire-form events, to the path's ``apply`` — one
+:meth:`~repro.resilience.runtime.DurableRuntime.apply` per event on a
+volatile runtime for ``library`` and ``sharded`` (``shards > 1``; fault
+scenarios refused, as sharded service sessions refuse fault ops), one
+``batch`` request to a live :mod:`repro.service` session for ``wire``
+(meridian/mit instances only) — so fault semantics are the same on
+every path. docs/scenarios.md defines the replay counters.
+:func:`compare_policies` fans replays out through
 :class:`~repro.parallel.pool.TrialPool` — ``workers=0`` is the
 bit-identical serial twin.
 """
@@ -33,24 +36,22 @@ bit-identical serial twin.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import run_algorithm
-from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
+from repro.algorithms.online import OnlineConfig
 from repro.algorithms.policies import validate_policy_name
 from repro.core import ClientAssignmentProblem
-from repro.errors import (
-    CapacityError,
-    FailoverError,
-    ReproError,
-    ScenarioError,
-)
+from repro.errors import ReproError, ScenarioError
 from repro.obs.metrics import registry
 from repro.parallel.cache import cached_lower_bound
 from repro.parallel.pool import TrialPool, run_trials, successful_values
+from repro.resilience.checkpoint import decode_float
+from repro.resilience.runtime import DurabilityConfig, DurableRuntime
 from repro.scenarios.dsl import BuiltInstance, Scenario, ScenarioTrace
 
 _PATHS = ("library", "sharded", "wire")
@@ -95,14 +96,7 @@ class ReplayOptions:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "shards": self.shards,
-            "checkpoint_every": self.checkpoint_every,
-            "maintain_moves": self.maintain_moves,
-            "offline_algorithm": self.offline_algorithm,
-            "block_size": self.block_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReplayOptions":
@@ -126,19 +120,7 @@ class Checkpoint:
     max_load: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "event_index": self.event_index,
-            "time": self.time,
-            "n_connected": self.n_connected,
-            "d_online": self.d_online,
-            "lower_bound": self.lower_bound,
-            "ratio": self.ratio,
-            "d_offline": self.d_offline,
-            "ratio_offline": self.ratio_offline,
-            "regret": self.regret,
-            "rejected": self.rejected,
-            "max_load": self.max_load,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Checkpoint":
@@ -206,11 +188,11 @@ def _measure(
     built: BuiltInstance,
     connected: Sequence[int],
     d_online: float,
+    loads: np.ndarray,
     *,
     event_index: int,
     time: float,
     rejected: int,
-    loads: Optional[np.ndarray],
     options: ReplayOptions,
 ) -> Optional[Checkpoint]:
     """Build one checkpoint; None when nothing is connected yet."""
@@ -252,7 +234,7 @@ def _measure(
         ratio_offline=ratio_offline,
         regret=regret,
         rejected=rejected,
-        max_load=int(loads.max()) if loads is not None and loads.size else 0,
+        max_load=int(loads.max()),
     )
 
 
@@ -264,109 +246,140 @@ def _checkpoint_indices(n_events: int, every: int) -> set:
 
 
 # ----------------------------------------------------------------------
-# Library / sharded replay
+# Replay
 # ----------------------------------------------------------------------
-def _build_manager(
-    built: BuiltInstance, policy: str, options: ReplayOptions
-) -> Any:
-    config = OnlineConfig(
-        capacity=built.capacity,
-        join_policy=policy,
-        shards=options.shards,
-    )
-    if options.path == "sharded":
-        from repro.scale.sharded import ShardedOnlineManager
+#: Replay counters, in report order (see :func:`_count`).
+_COUNTERS = (
+    "rejected", "skipped_leaves", "evacuated", "shed", "rebalance_moves", "maintain_moves"
+)
 
-        return ShardedOnlineManager(
-            built.provider,
-            built.servers,
-            config,
-            client_nodes=built.clients,
+
+def _count(counters: Dict[str, int], envelope: Dict[str, Any]) -> None:
+    """Fold one reply envelope into the replay counters."""
+    error = envelope.get("error")
+    if error is not None:
+        raise ScenarioError(
+            f"{envelope['op']} event failed: [{error['code']}] "
+            f"{error['message']}"
         )
-    return OnlineAssignmentManager(
+    outcome = envelope["outcome"]
+    if outcome in ("queued", "rejected"):
+        counters["rejected"] += 1
+    elif outcome in ("absent", "dequeued"):
+        counters["skipped_leaves"] += 1
+    elif outcome == "crashed":
+        counters["evacuated"] += envelope["evacuated"]
+        counters["shed"] += len(envelope["shed"])
+    elif outcome == "recovered":
+        counters["rebalance_moves"] += envelope["rebalance_moves"]
+    elif outcome == "rebalanced":
+        counters["rebalance_moves"] += envelope["moves"]
+
+
+@contextmanager
+def _local_session(
+    built: BuiltInstance,
+    policy: str,
+    options: ReplayOptions,
+    counters: Dict[str, int],
+) -> Iterator[Tuple[Callable, Callable]]:
+    """``(apply, observe)`` over a volatile runtime; ``policy.maintain``
+    runs after every event."""
+    runtime = DurableRuntime(
+        None,
         built.provider,
         built.servers,
-        config,
-        client_nodes=built.clients,
+        online=OnlineConfig(
+            capacity=built.capacity,
+            join_policy=policy,
+            shards=options.shards if options.path == "sharded" else 1,
+        ),
+        durability=DurabilityConfig(mode="off"),
     )
+    manager = runtime.manager
+
+    def apply(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        envelopes = []
+        for event in events:
+            envelopes.append(runtime.apply(event))
+            if options.maintain_moves:
+                counters["maintain_moves"] += manager.policy.maintain(
+                    manager, max_moves=options.maintain_moves
+                )
+        return envelopes
+
+    def observe() -> Tuple[Sequence[int], float, np.ndarray]:
+        return manager.clients, manager.current_d(), manager.loads()
+
+    with runtime:
+        yield apply, observe
 
 
-def _replay_managed(
+@contextmanager
+def _wire_session(
+    scenario: Scenario, built: BuiltInstance, policy: str
+) -> Iterator[Tuple[Callable, Callable]]:
+    """``(apply, observe)`` over a live service session (the wire has
+    no maintenance op)."""
+    from repro.service.client import ServiceClient
+    from repro.service.server import ServerThread
+
+    config = scenario.instance.session_config(
+        OnlineConfig(capacity=built.capacity, join_policy=policy)
+    )
+    with ServerThread() as (host, port), ServiceClient(host, port) as client:
+        session = client.open_session(**config.to_dict())["session"]
+
+        def apply(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+            return client.batch(session, events)
+
+        def observe() -> Tuple[Sequence[int], float, np.ndarray]:
+            stats = client.query(session, "stats")
+            clients = client.query(session, "clients")["clients"]
+            loads = np.asarray(stats["loads"], dtype=np.int64)
+            return clients, decode_float(stats["d"]), loads
+
+        yield apply, observe
+        client.close_session(session)
+
+
+def _replay(
     scenario: Scenario,
     trace: ScenarioTrace,
     built: BuiltInstance,
     policy: str,
     options: ReplayOptions,
 ) -> ReplayResult:
+    """Send each checkpoint chunk of the trace through the path's
+    ``apply``, count the reply envelopes, measure at the checkpoint."""
     if options.path == "sharded" and trace.has_faults:
         raise ScenarioError(
             f"scenario {scenario.name!r} contains fault events; the "
             f"sharded path (like sharded service sessions) supports "
             f"join/leave/rebalance only"
         )
-    manager = _build_manager(built, policy, options)
-    counters = {
-        "rejected": 0,
-        "skipped_leaves": 0,
-        "evacuated": 0,
-        "shed": 0,
-        "rebalance_moves": 0,
-        "maintain_moves": 0,
-    }
-    metrics = registry()
-    events_metric = metrics.counter("scenarios.events")
-    marks = _checkpoint_indices(trace.n_events, options.checkpoint_every)
+    counters = dict.fromkeys(_COUNTERS, 0)
+    if options.path == "wire":
+        session = _wire_session(scenario, built, policy)
+    else:
+        session = _local_session(built, policy, options, counters)
+    events_metric = registry().counter("scenarios.events")
     checkpoints: List[Checkpoint] = []
     started = _time.perf_counter()
-    for i, event in enumerate(trace.events):
-        events_metric.inc()
-        if event.op == "join":
-            try:
-                manager.join(event.node)
-            except CapacityError:
-                counters["rejected"] += 1
-        elif event.op == "leave":
-            if manager.is_connected(event.node):
-                manager.leave(event.node)
-            else:
-                counters["skipped_leaves"] += 1
-        elif event.op == "crash":
-            stranded = manager.deactivate_server(event.server)
-            try:
-                moves = manager.evacuate(event.server)
-                counters["evacuated"] += len(moves)
-            except FailoverError:
-                # Survivors cannot host the stranded clients: shed them
-                # (they disconnect), like the service's degraded mode.
-                for node in sorted(stranded):
-                    manager.leave(node)
-                counters["shed"] += len(stranded)
-        elif event.op == "recover":
-            manager.reactivate_server(event.server)
-            counters["rebalance_moves"] += manager.rebalance(max_moves=8)
-        elif event.op == "partition":
-            manager.partition_server(event.server)
-        elif event.op == "heal":
-            manager.heal_server(event.server)
-        elif event.op == "rebalance":
-            counters["rebalance_moves"] += manager.rebalance(
-                max_moves=event.max_moves or 8
-            )
-        else:
-            raise ScenarioError(f"unknown scenario op {event.op!r}")
-        if options.maintain_moves:
-            counters["maintain_moves"] += manager.policy.maintain(
-                manager, max_moves=options.maintain_moves
-            )
-        if i in marks:
+    with session as (apply, observe):
+        start = 0
+        for mark in sorted(_checkpoint_indices(trace.n_events, options.checkpoint_every)):
+            chunk = trace.events[start : mark + 1]
+            start = mark + 1
+            events_metric.inc(len(chunk))
+            for envelope in apply([e.to_event_dict() for e in chunk]):
+                _count(counters, envelope)
             checkpoint = _measure(
                 built,
-                manager.clients,
-                manager.current_d(),
-                event_index=i,
-                time=event.time,
+                *observe(),
+                event_index=mark,
+                time=trace.events[mark].time,
                 rejected=counters["rejected"],
-                loads=manager.loads(),
                 options=options,
             )
             if checkpoint is not None:
@@ -376,96 +389,6 @@ def _replay_managed(
         scenario=scenario.name,
         policy=policy,
         path=options.path,
-        n_events=trace.n_events,
-        checkpoints=tuple(checkpoints),
-        counters=counters,
-        elapsed_seconds=elapsed,
-    )
-
-
-# ----------------------------------------------------------------------
-# Wire replay
-# ----------------------------------------------------------------------
-def _replay_wire(
-    scenario: Scenario,
-    trace: ScenarioTrace,
-    built: BuiltInstance,
-    policy: str,
-    options: ReplayOptions,
-) -> ReplayResult:
-    if trace.has_faults:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} contains fault events; the wire "
-            f"path replays join/leave/rebalance scenarios only (fault "
-            f"outcomes depend on the service's degraded-mode queue, "
-            f"which the harness does not model)"
-        )
-    from repro.resilience.checkpoint import decode_float
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServerThread
-
-    online = OnlineConfig(capacity=built.capacity, join_policy=policy)
-    config = scenario.instance.session_config(online)
-    counters = {"rejected": 0, "skipped_leaves": 0, "rebalance_moves": 0}
-    marks = sorted(
-        _checkpoint_indices(trace.n_events, options.checkpoint_every)
-    )
-    connected: set = set()
-    checkpoints: List[Checkpoint] = []
-    started = _time.perf_counter()
-    with ServerThread() as (host, port):
-        with ServiceClient(host, port) as client:
-            opened = client.open_session(**config.to_dict())
-            session = opened["session"]
-            start = 0
-            for mark in marks:
-                chunk = trace.events[start : mark + 1]
-                start = mark + 1
-                replies = client.batch(
-                    session, [e.to_event_dict() for e in chunk]
-                )
-                for event, reply in zip(chunk, replies):
-                    outcome = reply.get("outcome")
-                    if event.op == "join":
-                        if outcome == "assigned":
-                            connected.add(event.node)
-                        else:
-                            counters["rejected"] += 1
-                    elif event.op == "leave":
-                        if event.node in connected:
-                            connected.discard(event.node)
-                        else:
-                            counters["skipped_leaves"] += 1
-                    elif event.op == "rebalance":
-                        counters["rebalance_moves"] += int(
-                            reply.get("moves", 0)
-                        )
-                stats = client.query(session, "stats")
-                d_value = stats["d"]
-                d_online = (
-                    decode_float(d_value)
-                    if isinstance(d_value, str)
-                    else float(d_value)
-                )
-                loads = np.asarray(stats.get("loads", []), dtype=np.int64)
-                checkpoint = _measure(
-                    built,
-                    sorted(connected),
-                    d_online,
-                    event_index=mark,
-                    time=trace.events[mark].time,
-                    rejected=counters["rejected"],
-                    loads=loads,
-                    options=options,
-                )
-                if checkpoint is not None:
-                    checkpoints.append(checkpoint)
-            client.close_session(session)
-    elapsed = _time.perf_counter() - started
-    return ReplayResult(
-        scenario=scenario.name,
-        policy=policy,
-        path="wire",
         n_events=trace.n_events,
         checkpoints=tuple(checkpoints),
         counters=counters,
@@ -498,10 +421,7 @@ def replay_scenario(
         trace = scenario.compile(built)
     metrics = registry()
     metrics.counter("scenarios.replays").inc()
-    if options.path == "wire":
-        result = _replay_wire(scenario, trace, built, policy, options)
-    else:
-        result = _replay_managed(scenario, trace, built, policy, options)
+    result = _replay(scenario, trace, built, policy, options)
     prefix = f"scenarios.replay.{policy}"
     metrics.counter(f"{prefix}.checkpoints").inc(len(result.checkpoints))
     metrics.counter(f"{prefix}.ratio_sum").inc(

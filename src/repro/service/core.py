@@ -50,7 +50,7 @@ from repro._version import __version__
 
 #: Supported ``query`` targets.
 QUERY_WHATS = frozenset(
-    {"d", "health", "digest", "stats", "backlog", "interactivity", "config"}
+    {"d", "health", "digest", "stats", "backlog", "interactivity", "config", "clients"}
 )
 
 _PLACEMENTS = ("k-center-b", "k-center-a", "random")
@@ -312,6 +312,8 @@ class Session:
             return {"backlog": [int(n) for n in runtime.degrade.backlog]}
         if what == "config":
             return {"config": self.config.to_dict()}
+        if what == "clients":
+            return {"clients": [int(n) for n in manager.clients]}
         if what == "stats":
             degrade = runtime.degrade
             return {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import FrameTooLargeError, ProtocolError, ReproError
 from repro.obs import registry
@@ -34,6 +34,10 @@ from repro.service.protocol import (
     encode_frame,
     error_reply,
 )
+
+#: Seconds a closing connection may spend flushing replies before it is
+#: aborted at shutdown.
+HANGUP_GRACE_S = 1.0
 
 
 class AssignmentServer:
@@ -65,6 +69,8 @@ class AssignmentServer:
         self._port = port
         self._max_frame_bytes = int(max_frame_bytes)
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection handlers and their writers.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -100,9 +106,25 @@ class AssignmentServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening sockets."""
+        """Stop accepting, hang up on open connections, then close.
+
+        Each open connection's transport is closed, so its handler sees
+        EOF at its next read and unwinds through its normal exit path.
+        A transport still flushing to a peer that stopped reading is
+        aborted after :data:`HANGUP_GRACE_S`. The handlers are awaited
+        before the listening sockets are released and an owned service
+        closes.
+        """
         if self._server is not None:
             self._server.close()
+            connections = dict(self._connections)
+            for writer in connections.values():
+                writer.transport.close()
+            if connections:
+                _, stuck = await asyncio.wait(connections, timeout=HANGUP_GRACE_S)
+                for task in stuck:
+                    connections[task].transport.abort()
+                await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._owns_service:
@@ -116,6 +138,9 @@ class AssignmentServer:
     ) -> None:
         metrics = registry()
         metrics.counter("service.connections").inc()
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -149,6 +174,7 @@ class AssignmentServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -200,6 +226,7 @@ class ServerThread:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        self._stop_requested: Optional[asyncio.Event] = None
         self._address: Optional[Tuple[str, int]] = None
         self._startup_error: Optional[BaseException] = None
 
@@ -232,6 +259,7 @@ class ServerThread:
         asyncio.set_event_loop(loop)
 
         async def main() -> None:
+            self._stop_requested = asyncio.Event()
             try:
                 self._address = await self.server.start()
             except BaseException as exc:
@@ -239,18 +267,9 @@ class ServerThread:
                 self._started.set()
                 return
             self._started.set()
-            assert self.server._server is not None
-            try:
-                await self.server._server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            # Let cancelled connection handlers unwind before the loop
-            # closes, so shutdown is silent.
-            current = asyncio.current_task()
-            pending = [t for t in asyncio.all_tasks() if t is not current]
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
+            # start() already accepts connections; serve until asked to
+            # stop, then shut down through the server's own clean path.
+            await self._stop_requested.wait()
             await self.server.stop()
 
         try:
@@ -263,16 +282,8 @@ class ServerThread:
         loop, thread = self._loop, self._thread
         if loop is None or thread is None:
             return
-        if thread.is_alive():
-
-            def _cancel() -> None:
-                server = self.server._server
-                if server is not None:
-                    server.close()
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(_cancel)
+        if thread.is_alive() and self._stop_requested is not None:
+            loop.call_soon_threadsafe(self._stop_requested.set)
             thread.join(timeout)
         self._loop = None
         self._thread = None

@@ -44,6 +44,20 @@ class TestFingerprint:
         assert len(fp) == 16
         int(fp, 16)  # hex
 
+    def test_content_token_provider(self):
+        from repro.datasets import planet_instance
+
+        a = planet_instance(30, 4, seed=1).provider
+        b = planet_instance(30, 4, seed=1).provider
+        c = planet_instance(30, 4, seed=2).provider
+        assert fingerprint_matrix(a) == fingerprint_matrix(b)
+        assert fingerprint_matrix(a) != fingerprint_matrix(c)
+        assert len(fingerprint_matrix(a)) == 16
+
+    def test_opaque_provider_refused(self):
+        with pytest.raises(TypeError):
+            fingerprint_matrix(object())
+
 
 class TestBuildManifest:
     def test_core_fields(self):

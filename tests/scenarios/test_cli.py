@@ -99,6 +99,25 @@ class TestRun:
         assert code == 1
         assert "scenario-error" in capsys.readouterr().err
 
+    def test_missing_scenario_file_is_cli_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = main(["scenarios", "run", "--file", str(missing)] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [invalid-parameter]: ")
+        assert str(missing) in err
+
+    def test_unwritable_out_is_cli_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "run.json"
+        code = main(
+            ["scenarios", "run", "--scenario", "flash-crowd",
+             "--out", str(out)] + FAST
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [invalid-parameter]: ")
+        assert str(out) in err
+
 
 class TestCompare:
     def test_acceptance_command(self, capsys):

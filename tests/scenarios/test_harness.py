@@ -166,11 +166,20 @@ class TestWirePath:
         path="wire", checkpoint_every=64, offline_algorithm=None
     )
 
-    def test_rejects_fault_scenarios(self):
-        with pytest.raises(ScenarioError):
-            replay_scenario(
-                bundled_scenario("regional-outage"), "greedy", options=self.WIRE
-            )
+    @pytest.mark.parametrize("policy", sorted(policy_names()))
+    def test_fault_scenario_matches_library(self, policy):
+        scenario = bundled_scenario("regional-outage")
+        library = replay_scenario(
+            scenario,
+            policy,
+            options=ReplayOptions(
+                checkpoint_every=64, maintain_moves=0, offline_algorithm=None
+            ),
+        )
+        wire = replay_scenario(scenario, policy, options=self.WIRE)
+        assert wire.checkpoints == library.checkpoints
+        assert wire.counters == library.counters
+        assert wire.counters["evacuated"] + wire.counters["shed"] > 0
 
     def test_rejects_planet_instances(self):
         with pytest.raises(ScenarioError):
@@ -214,6 +223,18 @@ def _strip_timing(result: ReplayResult) -> dict:
     doc = result.to_dict()
     doc.pop("elapsed_seconds")
     return doc
+
+
+class TestCount:
+    def test_error_envelope_raises(self):
+        from repro.scenarios.harness import _count
+
+        envelope = {
+            "op": "join",
+            "error": {"code": "invalid-assignment", "message": "boom"},
+        }
+        with pytest.raises(ScenarioError, match="invalid-assignment"):
+            _count({}, envelope)
 
 
 class TestComparePolicies:

@@ -242,6 +242,16 @@ class TestEventsAndQueries:
         rebuilt = SessionConfig.from_dict(reply["result"]["config"])
         assert rebuilt == small_config
 
+    def test_query_clients_sorted(self, service):
+        sid = _open(service)
+        for node in (9, 3, 5):
+            service.handle({"op": "join", "session": sid, "node": node})
+        service.handle({"op": "leave", "session": sid, "node": 5})
+        result = service.handle(
+            {"op": "query", "session": sid, "what": "clients"}
+        )["result"]
+        assert result == {"clients": [3, 9]}
+
     def test_unknown_query(self, service):
         sid = _open(service)
         reply = service.handle({"op": "query", "session": sid, "what": "nope"})

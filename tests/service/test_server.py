@@ -1,6 +1,11 @@
 """The asyncio server: concurrency, frame robustness, lifecycle."""
 
+import json
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -191,4 +196,45 @@ class TestLifecycle:
         with ServiceClient(host, port) as client:
             _open(client)
         st.stop()
+        assert st.server.service._closed
+
+    def test_stop_with_open_connection_is_silent(self, capfd):
+        # A child process, so asyncio's own error output reaches the
+        # real stderr (in-process, pytest's log capture would hide it).
+        script = """
+from repro.service.client import ServiceClient
+from repro.service.server import ServerThread
+
+st = ServerThread()
+host, port = st.start()
+with ServiceClient(host, port) as client:
+    client.ping()
+    # The connection handler now waits for the next request; stopping
+    # must hang up on it rather than cancel it.
+    st.stop()
+"""
+        proc = subprocess.run([sys.executable, "-c", script], timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_stop_aborts_peer_that_stopped_reading(self):
+        st = ServerThread()
+        host, port = st.start()
+        with ServiceClient(host, port) as client:
+            sid = client.open_session(nodes=1200, n_servers=4)["session"]
+            client.batch(sid, [{"op": "join", "node": n} for n in range(10, 1100)])
+        # Pipeline requests with large replies and never read them: the
+        # server's handler blocks writing, so it stops reading and the
+        # send below stalls.
+        request = {"op": "query", "session": sid, "what": "clients"}
+        payload = (json.dumps(request) + "\n").encode() * 250_000
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            sock.settimeout(1.0)
+            with pytest.raises(socket.timeout):
+                sock.sendall(payload)
+            started = time.perf_counter()
+            st.stop()
+            assert time.perf_counter() - started < 5.0
         assert st.server.service._closed

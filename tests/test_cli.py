@@ -427,3 +427,13 @@ class TestSolveBackend:
         assert code != 0
         err = capsys.readouterr().err
         assert "numba" in err
+
+
+class TestScaleSolve:
+    def test_unwritable_save_is_cli_error(self, tmp_path, capsys):
+        save = tmp_path / "no-such-dir" / "solve.json"
+        code = main(["scale", "solve", "--clients", "300", "--save", str(save)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [invalid-parameter]: ")
+        assert str(save) in err
