@@ -12,12 +12,13 @@ style consumers both ways:
   a sampled client — from-scratch ``l``-vector rebuild over all |C|
   clients vs one ``IncrementalObjective.candidate_paths`` call.
 
-Both paths score the *same* candidates, and the benchmark asserts they
-agree. At sizes where a full from-scratch run is still affordable
-(|C| <= 2000) it additionally runs hill-climbing and Distributed-Greedy
-end-to-end under both evaluators and asserts identical final D. The
-measurements (wall time and evaluation counts) are persisted as a
-``bench-table`` result through the standard schema.
+The from-scratch scorers are the test oracles in
+:mod:`tests.algorithms.oracles`. Both paths score the *same*
+candidates, and the benchmark asserts they agree; the heuristics'
+end-to-end trajectories are pinned by the golden digests in
+``tests/algorithms/test_incremental_equivalence.py``. The measurements
+(wall time and evaluation counts) are persisted as a ``bench-table``
+result through the standard schema.
 
 Acceptance target (ISSUE 2): >= 5x speedup for both styles at
 |C| = 8000. The assertion is gated on |C| >= 4000 so smoke sizes don't
@@ -44,22 +45,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.algorithms.distributed_greedy import (
-    _candidate_lengths_recompute,
-    distributed_greedy_detailed,
-)
-from repro.algorithms.local_search import _objective_after_move, hill_climbing
 from repro.algorithms.nearest import nearest_server
-from repro.core import (
-    ClientAssignmentProblem,
-    IncrementalObjective,
-    max_interaction_path_length,
-)
+from repro.core import ClientAssignmentProblem, IncrementalObjective
 from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
 from repro.kernels import available_backends, numba_available
 from repro.net.latency import LatencyMatrix
 from repro.obs import Stopwatch
+from tests.algorithms.oracles import (
+    _candidate_lengths_recompute,
+    _objective_after_move,
+)
 
 N_SERVERS = 25
 N_SAMPLED_CLIENTS = 64
@@ -67,7 +63,6 @@ SPEEDUP_TARGET = 5.0
 #: Sizes below this only record measurements; at or above it the
 #: speedup target is asserted.
 ASSERT_FLOOR = 4000
-FULL_RUN_CEILING = 2000
 #: numba-vs-numpy target for the kernel-backend sweep (ISSUE 8).
 KERNEL_SPEEDUP_TARGET = 5.0
 #: The kernel speedup is asserted only at |C| >= this (and only when
@@ -94,8 +89,7 @@ def _make_problem(n_clients: int, seed: int) -> ClientAssignmentProblem:
 def _bench_size(n_clients: int, seed: int) -> list:
     """Measure both styles at one size; returns table rows."""
     problem = _make_problem(n_clients, seed)
-    initial = nearest_server(problem)
-    server_of = initial.server_of.copy()
+    server_of = nearest_server(problem).server_of.copy()
     n_servers = problem.n_servers
     rng = np.random.default_rng(seed + 1)
     sampled = rng.choice(
@@ -172,29 +166,6 @@ def _bench_size(n_clients: int, seed: int) -> list:
         ]
     )
 
-    # --- end-to-end equivalence where the from-scratch run is affordable.
-    if n_clients <= FULL_RUN_CEILING:
-        hc_new = hill_climbing(
-            problem, seed=seed, max_rounds=2, evaluator="incremental"
-        )
-        hc_old = hill_climbing(
-            problem, seed=seed, max_rounds=2, evaluator="recompute"
-        )
-        assert np.array_equal(hc_new.server_of, hc_old.server_of)
-        d_new = max_interaction_path_length(hc_new)
-        d_old = max_interaction_path_length(hc_old)
-        assert d_new == pytest.approx(d_old, rel=1e-12)
-
-        dga_new = distributed_greedy_detailed(
-            problem, initial=initial, evaluator="incremental"
-        )
-        dga_old = distributed_greedy_detailed(
-            problem, initial=initial, evaluator="recompute"
-        )
-        assert dga_new.trace == dga_old.trace
-        assert np.array_equal(
-            dga_new.assignment.server_of, dga_old.assignment.server_of
-        )
     return rows
 
 

@@ -32,10 +32,7 @@ The per-candidate reply ``L(s')`` is served by
 caches (the engine maintains each server's ``l(s)`` and the best
 completions with their runner-ups, so excluding the candidate's home
 server is O(1) per destination) instead of rebuilding both ``l``
-vectors over all |C| clients per candidate. ``evaluator="recompute"``
-retains the O(|C| + |S|^2)-per-candidate path for equivalence testing
-and benchmarking; both produce the same replies and hence the same
-modification trace.
+vectors over all |C| clients per candidate.
 
 Capacitated variant (§IV-E): clients may move only to unsaturated
 servers, and the initial assignment is capacitated Nearest-Server.
@@ -51,16 +48,9 @@ import numpy as np
 from repro.algorithms.base import register, register_detailed
 from repro.algorithms.nearest import nearest_server
 from repro.core.assignment import Assignment
-from repro.core.incremental import (
-    IncrementalObjective,
-    record_candidate_evaluations,
-)
-from repro.core.metrics import (
-    clients_on_longest_paths,
-    max_interaction_path_length,
-)
+from repro.core.incremental import IncrementalObjective
+from repro.core.metrics import clients_on_longest_paths
 from repro.core.problem import ClientAssignmentProblem
-from repro.errors import InvalidParameterError
 from repro.obs import registry, span
 from repro.utils.rng import SeedLike
 
@@ -93,33 +83,6 @@ class DistributedGreedyResult:
         return self.trace[-1]
 
 
-def _candidate_lengths_recompute(
-    problem: ClientAssignmentProblem, server_of: np.ndarray, c: int
-) -> np.ndarray:
-    """The pre-engine reply computation: rebuild both ``l`` vectors over
-    all clients with ``c`` excluded, then score every destination."""
-    cs = problem.client_server
-    ss = problem.server_server
-    sc = problem.server_client
-    n_servers = problem.n_servers
-    l_out = np.full(n_servers, -np.inf)
-    l_in = np.full(n_servers, -np.inf)
-    mask = np.ones(problem.n_clients, dtype=bool)
-    mask[c] = False
-    idx = np.flatnonzero(mask)
-    np.maximum.at(l_out, server_of[idx], cs[idx, server_of[idx]])
-    np.maximum.at(l_in, server_of[idx], sc[server_of[idx], idx])
-    with np.errstate(invalid="ignore"):
-        best_in = np.where(
-            np.isfinite(l_in).any(), (ss + l_in[None, :]).max(axis=1), -np.inf
-        )
-        best_out = np.where(
-            np.isfinite(l_out).any(), (l_out[:, None] + ss).max(axis=0), -np.inf
-        )
-    l_candidates = np.maximum(cs[c, :] + best_in, best_out + sc[:, c])
-    return np.maximum(l_candidates, cs[c, :] + sc[:, c])
-
-
 @register_detailed("distributed-greedy")
 def distributed_greedy_detailed(
     problem: ClientAssignmentProblem,
@@ -127,7 +90,6 @@ def distributed_greedy_detailed(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
-    evaluator: str = "incremental",
     backend: str = "auto",
 ) -> DistributedGreedyResult:
     """Run Distributed-Greedy and return the full result object.
@@ -145,43 +107,23 @@ def distributed_greedy_detailed(
     max_modifications:
         Safety budget; defaults to ``10 * |C|``. The paper observes
         convergence within a few tens of modifications.
-    evaluator:
-        ``"incremental"`` (default) serves ``L(s')`` replies from the
-        incremental engine; ``"recompute"`` uses the from-scratch
-        per-candidate path. Same trace either way.
     backend:
-        Kernel backend for the incremental engine (see
-        :func:`repro.kernels.resolve_backend`); ignored under
-        ``evaluator="recompute"``.
+        Kernel backend for the incremental engine that serves the
+        ``L(s')`` replies (see :func:`repro.kernels.resolve_backend`).
     """
-    if evaluator not in ("incremental", "recompute"):
-        raise InvalidParameterError(
-            f"evaluator must be 'incremental' or 'recompute', got {evaluator!r}"
-        )
     if initial is None:
         initial = nearest_server(problem)
     if max_modifications is None:
         max_modifications = 10 * problem.n_clients
 
     n_servers = problem.n_servers
-    incremental = evaluator == "incremental"
 
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=n_servers)
     capacities = problem.capacities
-    engine = (
-        IncrementalObjective(problem, server_of, history=False, backend=backend)
-        if incremental
-        else None
-    )
+    engine = IncrementalObjective(problem, server_of, history=False, backend=backend)
 
-    def current_assignment() -> Assignment:
-        return Assignment(problem, server_of, validate=False)
-
-    if incremental:
-        d_current = engine.d()
-    else:
-        d_current = max_interaction_path_length(current_assignment())
+    d_current = engine.d()
     trace: List[float] = [d_current]
     n_messages = 0
     # Initial protocol round: every server broadcasts its inter-server
@@ -189,14 +131,11 @@ def distributed_greedy_detailed(
     n_messages += n_servers * (n_servers - 1)
     converged = False
 
-    with span(
-        "dga.solve",
-        clients=problem.n_clients,
-        servers=n_servers,
-        evaluator=evaluator,
-    ):
+    with span("dga.solve", clients=problem.n_clients, servers=n_servers):
         while len(trace) - 1 < max_modifications:
-            candidates = clients_on_longest_paths(current_assignment())
+            candidates = clients_on_longest_paths(
+                Assignment(problem, server_of, validate=False)
+            )
             moved = False
             for c in candidates:
                 c = int(c)
@@ -206,13 +145,7 @@ def distributed_greedy_detailed(
                 n_messages += n_servers - 1
 
                 # L(s') for every server s' (the replies).
-                if incremental:
-                    l_candidates, _d_rest = engine.candidate_paths(c)
-                else:
-                    record_candidate_evaluations(n_servers)
-                    l_candidates = _candidate_lengths_recompute(
-                        problem, server_of, c
-                    )
+                l_candidates, _d_rest = engine.candidate_paths(c)
 
                 # Replies from the other servers.
                 n_messages += n_servers - 1
@@ -230,13 +163,8 @@ def distributed_greedy_detailed(
                     server_of[c] = best_server
                     # The new server broadcasts its updated l(s).
                     n_messages += n_servers - 1
-                    if incremental:
-                        engine.apply(c, best_server)
-                        d_current = engine.d()
-                    else:
-                        d_current = max_interaction_path_length(
-                            current_assignment()
-                        )
+                    engine.apply(c, best_server)
+                    d_current = engine.d()
                     trace.append(d_current)
                     moved = True
                     break  # re-derive the longest paths after each move
@@ -265,7 +193,6 @@ def distributed_greedy(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
-    evaluator: str = "incremental",
     backend: str = "auto",
 ) -> Assignment:
     """Registry entry point returning only the final assignment."""
@@ -274,6 +201,5 @@ def distributed_greedy(
         seed=seed,
         initial=initial,
         max_modifications=max_modifications,
-        evaluator=evaluator,
         backend=backend,
     ).assignment

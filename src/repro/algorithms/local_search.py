@@ -10,8 +10,7 @@ Both optimizers use the same move structure as Distributed-Greedy
 through :class:`~repro.core.incremental.IncrementalObjective` — O(|S|)
 for a whole batch of destinations instead of an O(|C| + |S|^2) full
 recomputation per candidate — so comparisons isolate the *search
-policy*, not the move machinery. ``evaluator="recompute"`` retains the
-from-scratch path for equivalence testing and benchmarking.
+policy*, not the move machinery.
 """
 
 from __future__ import annotations
@@ -24,40 +23,9 @@ from repro.algorithms.base import register
 from repro.algorithms.nearest import nearest_server
 from repro.core.assignment import Assignment
 from repro.core.incremental import IncrementalObjective, record_candidate_evaluations
-from repro.core.metrics import max_interaction_path_length
 from repro.core.problem import ClientAssignmentProblem
-from repro.errors import InvalidParameterError
 from repro.obs import registry, span
 from repro.utils.rng import SeedLike, ensure_rng
-
-_EVALUATORS = ("incremental", "recompute")
-
-
-def _check_evaluator(evaluator: str) -> None:
-    if evaluator not in _EVALUATORS:
-        raise InvalidParameterError(
-            f"evaluator must be one of {_EVALUATORS}, got {evaluator!r}"
-        )
-
-
-def _objective_after_move(
-    problem: ClientAssignmentProblem,
-    server_of: np.ndarray,
-    client: int,
-    new_server: int,
-) -> float:
-    """D after relocating one client, in O(|C| + |S|^2).
-
-    The from-scratch reference the incremental engine replaced; kept for
-    ``evaluator="recompute"`` (equivalence tests, old-vs-new benchmarks).
-    """
-    old = server_of[client]
-    server_of[client] = new_server
-    try:
-        assignment = Assignment(problem, server_of, validate=False)
-        return max_interaction_path_length(assignment)
-    finally:
-        server_of[client] = old
 
 
 @register("hill-climbing")
@@ -67,7 +35,6 @@ def hill_climbing(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_rounds: int = 50,
-    evaluator: str = "incremental",
     backend: str = "auto",
 ) -> Assignment:
     """Steepest-descent over single-client relocations.
@@ -76,41 +43,21 @@ def hill_climbing(
     relocation is applied when it strictly reduces D. Stops when a full
     round makes no move (local optimum) or after ``max_rounds``.
 
-    With the default ``evaluator="incremental"`` one engine query scores
-    all |S| destinations of a client at once; ``"recompute"`` evaluates
-    each via a full objective pass (the pre-engine behavior, retained
-    for benchmarking — the move trajectory is identical). ``backend``
-    selects the engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`); ignored under
-    ``evaluator="recompute"``.
+    One engine query scores all |S| destinations of a client at once.
+    ``backend`` selects the engine's kernel backend (see
+    :func:`repro.kernels.resolve_backend`).
     """
-    _check_evaluator(evaluator)
     rng = ensure_rng(seed)
     if initial is None:
         initial = nearest_server(problem)
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=problem.n_servers)
     capacities = problem.capacities
-    incremental = evaluator == "incremental"
-    engine = (
-        IncrementalObjective(problem, server_of, history=False, backend=backend)
-        if incremental
-        else None
-    )
+    engine = IncrementalObjective(problem, server_of, history=False, backend=backend)
 
-    if incremental:
-        best_d = engine.d()
-    else:
-        best_d = max_interaction_path_length(
-            Assignment(problem, server_of, validate=False)
-        )
+    best_d = engine.d()
     moves = registry().counter("local_search.hc_moves")
-    with span(
-        "hc.search",
-        clients=problem.n_clients,
-        servers=problem.n_servers,
-        evaluator=evaluator,
-    ):
+    with span("hc.search", clients=problem.n_clients, servers=problem.n_servers):
         for _ in range(max_rounds):
             improved = False
             for c in rng.permutation(problem.n_clients):
@@ -122,25 +69,15 @@ def hill_climbing(
                         continue
                     if capacities is not None and loads[s] >= capacities[s]:
                         continue
-                    if incremental:
-                        if scores is None:
-                            scores = engine.batch_delta_D(
-                                c, respect_capacities=False
-                            )
-                        d_new = float(scores[s])
-                    else:
-                        record_candidate_evaluations(1)
-                        d_new = _objective_after_move(problem, server_of, c, s)
-                    if d_new < best_d - 1e-12:
+                    if scores is None:
+                        scores = engine.batch_delta_D(c, respect_capacities=False)
+                    if scores[s] < best_d - 1e-12:
                         server_of[c] = s
                         loads[home] -= 1
                         loads[s] += 1
-                        if incremental:
-                            engine.apply(c, s)
-                            best_d = engine.d()
-                            scores = None  # home changed: rescore lazily
-                        else:
-                            best_d = d_new
+                        engine.apply(c, s)
+                        best_d = engine.d()
+                        scores = None  # home changed: rescore lazily
                         home = s
                         improved = True
                         moves.inc()
@@ -158,7 +95,6 @@ def simulated_annealing(
     n_steps: int = 2000,
     start_temperature: Optional[float] = None,
     cooling: float = 0.995,
-    evaluator: str = "incremental",
     backend: str = "auto",
 ) -> Assignment:
     """Simulated annealing over single-client relocations.
@@ -166,39 +102,26 @@ def simulated_annealing(
     Accepts worsening moves with probability ``exp(-Δ/T)``; the
     temperature decays geometrically by ``cooling`` per step. Returns the
     best assignment visited. The default start temperature is 10% of the
-    initial objective. ``evaluator`` selects incremental (default) or
-    from-scratch candidate scoring; the random walk is identical.
-    ``backend`` selects the engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`).
+    initial objective. ``backend`` selects the engine's kernel backend
+    (see :func:`repro.kernels.resolve_backend`).
 
-    The incremental path scores candidates by tentative apply/undo
-    rather than :meth:`~IncrementalObjective.delta_D`: the acceptance
-    test ``delta <= 0`` short-circuits the RNG draw, so ``d_new`` must be
+    Candidates are scored by tentative apply/undo rather than
+    :meth:`~IncrementalObjective.delta_D`: the acceptance test
+    ``delta <= 0`` short-circuits the RNG draw, so ``d_new`` must be
     *bit*-identical to the recomputed objective at exact ties — which
     ``engine.d()`` is (same reduction, same evaluation order), while a
     delta query may differ in the last ulp through a different
     association of the same sums.
     """
-    _check_evaluator(evaluator)
     rng = ensure_rng(seed)
     if initial is None:
         initial = nearest_server(problem)
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=problem.n_servers)
     capacities = problem.capacities
-    incremental = evaluator == "incremental"
-    engine = (
-        IncrementalObjective(problem, server_of, backend=backend)
-        if incremental
-        else None
-    )
+    engine = IncrementalObjective(problem, server_of, backend=backend)
 
-    if incremental:
-        current_d = engine.d()
-    else:
-        current_d = max_interaction_path_length(
-            Assignment(problem, server_of, validate=False)
-        )
+    current_d = engine.d()
     best_d = current_d
     best = server_of.copy()
     temperature = (
@@ -212,7 +135,6 @@ def simulated_annealing(
         clients=problem.n_clients,
         servers=problem.n_servers,
         steps=n_steps,
-        evaluator=evaluator,
     ):
         for _ in range(n_steps):
             c = int(rng.integers(0, problem.n_clients))
@@ -222,13 +144,9 @@ def simulated_annealing(
                 continue
             if capacities is not None and loads[s] >= capacities[s]:
                 continue
-            if incremental:
-                record_candidate_evaluations(1)
-                engine.apply(c, s)
-                d_new = engine.d()
-            else:
-                record_candidate_evaluations(1)
-                d_new = _objective_after_move(problem, server_of, c, s)
+            record_candidate_evaluations(1)
+            engine.apply(c, s)
+            d_new = engine.d()
             delta = d_new - current_d
             if delta <= 0 or rng.uniform() < np.exp(-delta / temperature):
                 server_of[c] = s
@@ -239,7 +157,7 @@ def simulated_annealing(
                 if current_d < best_d:
                     best_d = current_d
                     best = server_of.copy()
-            elif incremental:
+            else:
                 engine.undo()
             temperature *= cooling
     return Assignment(problem, best)

@@ -793,7 +793,7 @@ def simulate_churn(
             len(connected) < len(candidates) and rng.uniform() < join_probability
         )
         if do_join:
-            free = [u for u in candidates if u not in manager._assigned]
+            free = [u for u in candidates if not manager.is_connected(u)]
             node = int(free[rng.integers(0, len(free))])
             try:
                 manager.join(node)

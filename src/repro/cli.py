@@ -37,6 +37,17 @@ from repro.errors import InvalidParameterError, ReproError
 from repro.kernels import BACKEND_CHOICES
 
 
+def _port(text: str) -> int:
+    """argparse type for a TCP port number."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a port number: {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {port}")
+    return port
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dia-cap",
@@ -255,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", type=str, default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=7690,
+        "--port", type=_port, default=7690,
         help="listen port (0 = pick an ephemeral port)",
     )
     p_serve.add_argument(
@@ -271,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drive seeded churn through a live assignment server",
     )
     p_loadgen.add_argument("--host", type=str, default="127.0.0.1")
-    p_loadgen.add_argument("--port", type=int, default=7690)
+    p_loadgen.add_argument("--port", type=_port, default=7690)
     p_loadgen.add_argument(
         "--spawn", action="store_true",
         help="start an in-process server on an ephemeral port instead",
@@ -972,35 +983,17 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if args.save:
         import json
 
-        with _open_arg_file(args.save, "w", "summary file") as fh:
+        with open(args.save, "w", encoding="utf-8") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote scale-solve summary to {args.save}")
     return 0
 
 
-def _open_arg_file(path: str, mode: str, what: str):
-    """``open`` a file named on the command line; failure is an
-    ``invalid-parameter`` error, not a traceback."""
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        verb = "read" if mode == "r" else "write"
-        raise InvalidParameterError(
-            f"cannot {verb} {what} {path!r}: {exc.strerror}"
-        ) from None
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import render_summary, summarize_file
 
-    try:
-        summary = summarize_file(args.trace_file, top=args.top)
-    except OSError as exc:
-        raise InvalidParameterError(
-            f"cannot read trace file {args.trace_file!r}: {exc.strerror}"
-        ) from None
-    print(render_summary(summary))
+    print(render_summary(summarize_file(args.trace_file, top=args.top)))
     return 0
 
 
@@ -1008,7 +1001,7 @@ def _load_scenario(args: argparse.Namespace):
     from repro.scenarios import Scenario, bundled_scenario
 
     if args.file:
-        with _open_arg_file(args.file, "r", "scenario file") as fh:
+        with open(args.file, "r", encoding="utf-8") as fh:
             return Scenario.loads(fh.read())
     return bundled_scenario(args.scenario)
 
@@ -1033,7 +1026,7 @@ def _write_json_doc(doc: dict, args: argparse.Namespace) -> None:
 
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with _open_arg_file(args.out, "w", "JSON report") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         print(f"wrote JSON report to {args.out}")
     if args.json:
@@ -1189,6 +1182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # "kernel-backend-unavailable" for --backend numba without
         # numba); surface it instead of a traceback.
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # A path or address named on the command line that the OS
+        # refuses: a missing directory, an unreadable file, a port
+        # nobody listens on.
+        print(f"error [{InvalidParameterError.code}]: {exc}", file=sys.stderr)
         return 1
 
 

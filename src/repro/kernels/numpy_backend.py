@@ -28,10 +28,23 @@ def objective_refresh(
     Same reduction — and the same floating point association — as
     :func:`repro.core.metrics.max_interaction_path_length`.
     """
+    _used, totals = server_path_totals(l_out, l_in, ss)
+    return float(totals.max())
+
+
+def server_path_totals(
+    l_out: np.ndarray, l_in: np.ndarray, ss: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The used servers and every ``l_out[s1] + d(s1, s2) + l_in[s2]``.
+
+    ``totals[i, j]`` is the path from ``used[i]`` to ``used[j]``; both
+    are empty when no server is used. :func:`objective_refresh` is the
+    maximum; callers that need the witness path take the argmax.
+    """
     used = np.flatnonzero(np.isfinite(l_out))
     sub = ss[np.ix_(used, used)]
     totals = l_out[used][:, None] + sub + l_in[used][None, :]
-    return float(totals.max())
+    return used, totals
 
 
 def reduction_top2(

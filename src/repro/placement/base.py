@@ -6,6 +6,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
 from repro.net.latency import LatencyMatrix
 from repro.utils.rng import SeedLike
 
@@ -38,8 +39,9 @@ def coverage_radius(matrix: LatencyMatrix, centers: np.ndarray) -> float:
 
 
 def validate_k(matrix: LatencyMatrix, k: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= k <= n_nodes``."""
+    """Raise :class:`InvalidParameterError` (a ``ValueError``) unless
+    ``1 <= k <= n_nodes``."""
     if not 1 <= k <= matrix.n_nodes:
-        raise ValueError(
+        raise InvalidParameterError(
             f"number of servers k={k} must be in [1, {matrix.n_nodes}]"
         )

@@ -30,6 +30,7 @@ from repro.algorithms.base import run_algorithm
 from repro.core.problem import ClientAssignmentProblem
 from repro.core.results import AssignmentResult
 from repro.errors import InvalidParameterError, ScaleBoundError
+from repro.kernels.numpy_backend import objective_refresh
 from repro.net.provider import LatencyProvider, provider_name
 from repro.obs import Stopwatch, registry, span
 from repro.scale.coreset import DEFAULT_CHUNK_SIZE, Coreset, build_coreset
@@ -107,13 +108,10 @@ def expanded_objective(
         np.maximum.at(l_out, assigned, np.asarray(cs[rows, assigned], dtype=np.float64))
         sc = provider.server_client_distances(servers, block)
         np.maximum.at(l_in, assigned, np.asarray(sc[assigned, rows], dtype=np.float64))
-    used = np.flatnonzero(np.isfinite(l_out))
     ss = np.asarray(
         provider.server_server_distances(servers), dtype=np.float64
     )
-    sub = ss[np.ix_(used, used)]
-    totals = l_out[used][:, None] + sub + l_in[used][None, :]
-    return float(totals.max())
+    return objective_refresh(l_out, l_in, ss)
 
 
 def solve_at_scale(

@@ -40,6 +40,7 @@ from repro.errors import (
     InvalidAssignmentError,
     InvalidParameterError,
 )
+from repro.kernels.numpy_backend import objective_refresh, server_path_totals
 from repro.net.provider import LatencyProvider
 from repro.obs.metrics import registry
 from repro.scale.coreset import DEFAULT_CHUNK_SIZE
@@ -378,16 +379,15 @@ class ShardedOnlineManager:
         reduction; 0.0 with no clients connected.
         """
         l_out, l_in = self.merged_l_vectors()
-        used = np.flatnonzero(np.isfinite(l_out))
-        if used.size == 0:
+        if not np.isfinite(l_out).any():
             return 0.0
-        ss = np.asarray(
+        return objective_refresh(l_out, l_in, self._server_distances())
+
+    def _server_distances(self) -> np.ndarray:
+        return np.asarray(
             self._matrix.server_server_distances(self._servers),
             dtype=np.float64,
         )
-        sub = ss[np.ix_(used, used)]
-        totals = l_out[used][:, None] + sub + l_in[used][None, :]
-        return float(totals.max())
 
     # ------------------------------------------------------------------
     def rebalance(self, *, max_moves: int = 16) -> int:
@@ -433,15 +433,9 @@ class ShardedOnlineManager:
     def _witness_shards(self) -> Tuple[int, ...]:
         """Shards owning the legs of the current global witness path."""
         l_out, l_in = self.merged_l_vectors()
-        used = np.flatnonzero(np.isfinite(l_out))
+        used, totals = server_path_totals(l_out, l_in, self._server_distances())
         if used.size == 0:
             return ()
-        ss = np.asarray(
-            self._matrix.server_server_distances(self._servers),
-            dtype=np.float64,
-        )
-        sub = ss[np.ix_(used, used)]
-        totals = l_out[used][:, None] + sub + l_in[used][None, :]
         flat = int(np.argmax(totals))
         s_out = int(used[flat // used.size])
         s_in = int(used[flat % used.size])

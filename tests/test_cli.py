@@ -437,3 +437,49 @@ class TestScaleSolve:
         err = capsys.readouterr().err
         assert err.startswith("error [invalid-parameter]: ")
         assert str(save) in err
+
+
+def _closed_port() -> int:
+    """A localhost port nothing listens on (bound, then released)."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestNoTracebacks:
+    """Bad paths and addresses are one-line CLI errors, never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dataset", "--nodes", "10", "--out", "{missing}/m.npy"],
+            ["analyze", "--load", "{missing}.npy"],
+            ["solve", "--nodes", "30", "--servers", "4",
+             "--save-deployment", "{missing}/d.json"],
+            ["fig", "7", "--trace", "{missing}/t.jsonl"],
+            ["loadgen", "--events", "10", "--port", "{closed_port}"],
+        ],
+        ids=["dataset-out", "analyze-load", "solve-save", "fig-trace", "loadgen"],
+    )
+    def test_os_error_is_cli_error(self, argv, tmp_path, capsys):
+        fields = {"missing": tmp_path / "missing", "closed_port": _closed_port()}
+        code = main([arg.format(**fields) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [invalid-parameter]: ")
+        assert err.count("\n") == 1
+
+    def test_more_servers_than_nodes_is_cli_error(self, capsys):
+        code = main(["solve", "--nodes", "30", "--servers", "80"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [invalid-parameter]: ")
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_port_is_range_checked(self, command, port, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--port", port])
+        assert exc.value.code == 2
+        assert "argument --port" in capsys.readouterr().err
