@@ -26,7 +26,8 @@ assert on noise.
 
 A second sweep (``test_kernel_backends``) adds the **kernel backend
 axis** (ISSUE 8): the same move-batch workload is timed per backend
-(``numpy`` and, when importable, ``numba``) and per matrix dtype
+(``numpy`` and, when importable, ``numba``; each engine is built inside
+:func:`tests.kernel_suites.use_kernels`) and per matrix dtype
 (float64 and float32), with bit-identical cross-backend parity asserted
 within a dtype and ~1e-5 relative agreement asserted across dtypes. The
 measurements land in ``BENCH_incremental.json`` (written to
@@ -49,13 +50,14 @@ from repro.algorithms.nearest import nearest_server
 from repro.core import ClientAssignmentProblem, IncrementalObjective
 from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
-from repro.kernels import available_backends, numba_available
+from repro.kernels import numba_available
 from repro.net.latency import LatencyMatrix
 from repro.obs import Stopwatch
 from tests.algorithms.oracles import (
     _candidate_lengths_recompute,
     _objective_after_move,
 )
+from tests.kernel_suites import use_kernels
 
 N_SERVERS = 25
 N_SAMPLED_CLIENTS = 64
@@ -68,6 +70,8 @@ KERNEL_SPEEDUP_TARGET = 5.0
 #: The kernel speedup is asserted only at |C| >= this (and only when
 #: numba is importable); smaller batches measure dispatch, not kernels.
 KERNEL_ASSERT_FLOOR = 50_000
+#: Kernel suites the backend sweep times.
+BACKENDS = ("numba", "numpy") if numba_available() else ("numpy",)
 
 
 def _sizes() -> list:
@@ -262,10 +266,9 @@ def _bench_backends_size(n_clients: int, seed: int) -> list:
         ("float32", problem64.astype(np.float32)),
     ):
         per_backend = {}
-        for backend in available_backends():
-            engine = IncrementalObjective(
-                problem, initial.copy(), history=False, backend=backend
-            )
+        for backend in BACKENDS:
+            with use_kernels(backend):
+                engine = IncrementalObjective(problem, initial.copy(), history=False)
             # Warm-up outside the timed region: D refresh plus one
             # batch call, so numba's first-call compilation (and the
             # lazy per-server list builds) never pollute the timing.
@@ -344,7 +347,7 @@ def test_kernel_backends(benchmark, tmp_path):
             "n_servers": N_SERVERS,
             "n_sampled_clients": N_SAMPLED_CLIENTS,
             "sizes": sizes,
-            "backends": list(available_backends()),
+            "backends": list(BACKENDS),
             "numba_available": numba_available(),
             "dtypes": ["float64", "float32"],
             "speedup_target": KERNEL_SPEEDUP_TARGET,

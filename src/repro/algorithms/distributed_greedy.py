@@ -90,7 +90,6 @@ def distributed_greedy_detailed(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
-    backend: str = "auto",
 ) -> DistributedGreedyResult:
     """Run Distributed-Greedy and return the full result object.
 
@@ -107,9 +106,6 @@ def distributed_greedy_detailed(
     max_modifications:
         Safety budget; defaults to ``10 * |C|``. The paper observes
         convergence within a few tens of modifications.
-    backend:
-        Kernel backend for the incremental engine that serves the
-        ``L(s')`` replies (see :func:`repro.kernels.resolve_backend`).
     """
     if initial is None:
         initial = nearest_server(problem)
@@ -121,7 +117,7 @@ def distributed_greedy_detailed(
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=n_servers)
     capacities = problem.capacities
-    engine = IncrementalObjective(problem, server_of, history=False, backend=backend)
+    engine = IncrementalObjective(problem, server_of, history=False)
 
     d_current = engine.d()
     trace: List[float] = [d_current]
@@ -193,7 +189,6 @@ def distributed_greedy(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
-    backend: str = "auto",
 ) -> Assignment:
     """Registry entry point returning only the final assignment."""
     return distributed_greedy_detailed(
@@ -201,5 +196,4 @@ def distributed_greedy(
         seed=seed,
         initial=initial,
         max_modifications=max_modifications,
-        backend=backend,
     ).assignment

@@ -64,7 +64,6 @@ def greedy(
     *,
     seed: SeedLike = None,
     amortized: bool = True,
-    backend: str = "auto",
 ) -> Assignment:
     """Run Greedy Assignment.
 
@@ -77,8 +76,6 @@ def greedy(
     latter exists as an ablation of the paper's design choice — dividing
     by Δn rewards assigning many clients per unit of path-length growth;
     see ``repro.experiments.ablations.ablation_greedy_cost``.
-    ``backend`` selects the incremental engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`).
     """
     cs = problem.client_server  # (C, S): d(c, s)
     ss = problem.server_server  # (S, S)
@@ -105,7 +102,7 @@ def greedy(
     )
 
     # Assignment state + per-server farthest-leg maintenance.
-    engine = IncrementalObjective(problem, history=False, backend=backend)
+    engine = IncrementalObjective(problem, history=False)
     max_len = 0.0
 
     with span("greedy.assign", clients=n_clients, servers=n_servers):

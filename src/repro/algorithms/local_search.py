@@ -35,7 +35,6 @@ def hill_climbing(
     seed: SeedLike = None,
     initial: Optional[Assignment] = None,
     max_rounds: int = 50,
-    backend: str = "auto",
 ) -> Assignment:
     """Steepest-descent over single-client relocations.
 
@@ -44,8 +43,6 @@ def hill_climbing(
     round makes no move (local optimum) or after ``max_rounds``.
 
     One engine query scores all |S| destinations of a client at once.
-    ``backend`` selects the engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`).
     """
     rng = ensure_rng(seed)
     if initial is None:
@@ -53,7 +50,7 @@ def hill_climbing(
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=problem.n_servers)
     capacities = problem.capacities
-    engine = IncrementalObjective(problem, server_of, history=False, backend=backend)
+    engine = IncrementalObjective(problem, server_of, history=False)
 
     best_d = engine.d()
     moves = registry().counter("local_search.hc_moves")
@@ -95,15 +92,13 @@ def simulated_annealing(
     n_steps: int = 2000,
     start_temperature: Optional[float] = None,
     cooling: float = 0.995,
-    backend: str = "auto",
 ) -> Assignment:
     """Simulated annealing over single-client relocations.
 
     Accepts worsening moves with probability ``exp(-Δ/T)``; the
     temperature decays geometrically by ``cooling`` per step. Returns the
     best assignment visited. The default start temperature is 10% of the
-    initial objective. ``backend`` selects the engine's kernel backend
-    (see :func:`repro.kernels.resolve_backend`).
+    initial objective.
 
     Candidates are scored by tentative apply/undo rather than
     :meth:`~IncrementalObjective.delta_D`: the acceptance test
@@ -119,7 +114,7 @@ def simulated_annealing(
     server_of = initial.server_of.copy()
     loads = np.bincount(server_of, minlength=problem.n_servers)
     capacities = problem.capacities
-    engine = IncrementalObjective(problem, server_of, backend=backend)
+    engine = IncrementalObjective(problem, server_of)
 
     current_d = engine.d()
     best_d = current_d

@@ -35,7 +35,7 @@ from repro.algorithms.policies import (
     validate_policy_name,
 )
 from repro.core.assignment import Assignment
-from repro.core.incremental import DEFAULT_TOP_K, IncrementalObjective
+from repro.core.incremental import IncrementalObjective
 from repro.core.metrics import max_interaction_path_length
 from repro.core.problem import ClientAssignmentProblem
 from repro.errors import (
@@ -71,16 +71,6 @@ class OnlineConfig:
         minimizes the resulting D, ``"nearest"`` is the
         deployed-system default; ``"threshold"`` and ``"spread"`` are
         remediation-style policies (see ``docs/scenarios.md``).
-    backend:
-        Kernel backend for the manager's incremental engine — one of
-        ``"auto"`` (default), ``"numba"``, ``"numpy"``; see
-        :func:`repro.kernels.resolve_backend` and
-        ``docs/performance.md``.
-    top_k:
-        Per-server, per-direction top-k retention of the engine's
-        farthest-client lists (default
-        :data:`repro.core.incremental.DEFAULT_TOP_K`). Larger values
-        trade memory for fewer lazy rebuilds under heavy churn.
     shards:
         Number of region shards for
         :class:`~repro.scale.sharded.ShardedOnlineManager` (default 1 =
@@ -92,8 +82,6 @@ class OnlineConfig:
 
     capacity: Optional[int] = None
     join_policy: str = "greedy"
-    backend: str = "auto"
-    top_k: int = DEFAULT_TOP_K
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -102,13 +90,6 @@ class OnlineConfig:
                 f"capacity must be >= 1, got {self.capacity}"
             )
         validate_policy_name(self.join_policy)
-        from repro.kernels import validate_backend_name
-
-        validate_backend_name(self.backend)
-        if self.top_k < 2:
-            raise InvalidParameterError(
-                f"top_k must be >= 2, got {self.top_k}"
-            )
         if self.shards < 1:
             raise InvalidParameterError(
                 f"shards must be >= 1, got {self.shards}"
@@ -119,8 +100,6 @@ class OnlineConfig:
         return {
             "capacity": None if self.capacity is None else int(self.capacity),
             "join_policy": self.join_policy,
-            "backend": self.backend,
-            "top_k": int(self.top_k),
             "shards": int(self.shards),
         }
 
@@ -128,16 +107,14 @@ class OnlineConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "OnlineConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        ``backend`` / ``top_k`` / ``shards`` default when absent so
-        configs (and checkpoints) serialized before those knobs existed
-        keep loading.
+        ``shards`` defaults when absent, and keys this version no longer
+        reads are ignored, so configs (and checkpoints) serialized by
+        earlier versions keep loading.
         """
         capacity = data.get("capacity")
         return cls(
             capacity=None if capacity is None else int(capacity),
             join_policy=str(data.get("join_policy", "greedy")),
-            backend=str(data.get("backend", "auto")),
-            top_k=int(data.get("top_k", DEFAULT_TOP_K)),
             shards=int(data.get("shards", 1)),
         )
 
@@ -154,8 +131,8 @@ class OnlineAssignmentManager:
     servers:
         Node indices hosting servers.
     config:
-        An :class:`OnlineConfig` (capacity, join policy, kernel
-        backend, top-k); defaults to ``OnlineConfig()``.
+        An :class:`OnlineConfig` (capacity, join policy, shards);
+        defaults to ``OnlineConfig()``.
     client_nodes:
         Optional restriction of the joinable client universe to these
         node indices (the region-sharding hook:
@@ -227,12 +204,7 @@ class OnlineAssignmentManager:
             self._universe = ClientAssignmentProblem(
                 matrix, self._servers, clients=nodes
             )
-        self._engine = IncrementalObjective(
-            self._universe,
-            history=False,
-            k=config.top_k,
-            backend=config.backend,
-        )
+        self._engine = IncrementalObjective(self._universe, history=False)
 
     def _engine_index(self, client_node: int) -> int:
         """The engine's local client index for a node (identity when the
@@ -759,28 +731,28 @@ def simulate_churn(
     rebalance_moves: int = 8,
     capacity: Optional[int] = None,
     join_policy: str = "greedy",
-    backend: str = "auto",
     seed: SeedLike = 0,
 ) -> ChurnResult:
     """Replay a random join/leave sequence through the online manager.
 
     Joins pick a uniformly random unconnected node; leaves pick a
-    uniformly random connected client. When ``rebalance_every`` is set,
-    a bounded Distributed-Greedy repair runs after every that-many
-    events. Returns the D-over-time trace. ``join_policy`` selects the
-    placement rule for arrivals ("greedy" = minimize resulting D,
-    "nearest" = deployed-system default); ``backend`` the manager's
-    kernel backend.
+    uniformly random connected client. When ``rebalance_every`` is set
+    (``None`` or 0 = off), a bounded Distributed-Greedy repair runs
+    after every that-many events. Returns the D-over-time trace.
+    ``join_policy`` selects the placement rule for arrivals ("greedy" =
+    minimize resulting D, "nearest" = deployed-system default).
     """
     if not 0.0 < join_probability < 1.0:
         raise InvalidParameterError("join_probability must be in (0, 1)")
+    if n_events < 1:
+        raise InvalidParameterError(f"n_events must be >= 1, got {n_events}")
+    if rebalance_every is not None and rebalance_every < 0:
+        raise InvalidParameterError(
+            f"rebalance_every must be >= 0, got {rebalance_every}"
+        )
     rng = ensure_rng(seed)
     manager = OnlineAssignmentManager(
-        matrix,
-        servers,
-        OnlineConfig(
-            capacity=capacity, join_policy=join_policy, backend=backend
-        ),
+        matrix, servers, OnlineConfig(capacity=capacity, join_policy=join_policy)
     )
     server_set = set(int(s) for s in as_index_array(servers))
     candidates = [u for u in range(matrix.n_nodes) if u not in server_set]

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro._version import __version__
 from repro.errors import InvalidParameterError, ReproError
-from repro.kernels import BACKEND_CHOICES
 
 
 def _port(text: str) -> int:
@@ -46,6 +45,21 @@ def _port(text: str) -> int:
     if not 0 <= port <= 65535:
         raise argparse.ArgumentTypeError(f"must be in 0..65535, got {port}")
     return port
+
+
+def _profile_name(text: str) -> str:
+    """argparse type for an experiment profile name.
+
+    Checked at parse time rather than through ``choices`` so that only
+    the commands taking ``--profile`` import the experiment package.
+    """
+    from repro.experiments.config import PROFILES
+
+    if text not in PROFILES:
+        raise argparse.ArgumentTypeError(
+            f"unknown profile {text!r}; choose from {', '.join(sorted(PROFILES))}"
+        )
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,13 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--capacity", type=int, default=None)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="kernel backend for the incremental engine "
-        "(auto = numba when importable, else numpy)",
-    )
-    p_solve.add_argument(
         "--save-deployment",
         type=str,
         default=None,
@@ -141,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="random",
         help="panel for figures 7 and 10",
     )
-    p_fig.add_argument("--profile", type=str, default="default")
+    p_fig.add_argument("--profile", type=_profile_name, default="default")
     p_fig.add_argument(
         "--save", type=str, default=None, help="write the series to a JSON file"
     )
@@ -157,14 +164,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the §V claims checklist",
         parents=[workers, tracing],
     )
-    p_claims.add_argument("--profile", type=str, default="default")
+    p_claims.add_argument("--profile", type=_profile_name, default="default")
 
     p_report = sub.add_parser(
         "report",
         help="regenerate the full evaluation (all figures + claims)",
         parents=[workers, tracing],
     )
-    p_report.add_argument("--profile", type=str, default="default")
+    p_report.add_argument("--profile", type=_profile_name, default="default")
     p_report.add_argument(
         "--out", type=str, default=None, help="directory for JSON series + report.txt"
     )
@@ -352,12 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scale_solve.add_argument("--algorithm", type=str, default="distributed-greedy")
     p_scale_solve.add_argument("--seed", type=int, default=0)
     p_scale_solve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="kernel backend for the reduced solve",
-    )
-    p_scale_solve.add_argument(
         "--save", type=str, default=None,
         help="write the scale-solve summary as JSON",
     )
@@ -521,9 +522,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     matrix = _make_matrix(args.kind, args.nodes, args.seed)
     servers = PLACEMENTS[args.placement](matrix, args.servers, seed=args.seed)
     problem = ClientAssignmentProblem(matrix, servers, capacities=args.capacity)
-    result = run_algorithm(
-        args.algorithm, problem, seed=args.seed, backend=args.backend
-    )
+    result = run_algorithm(args.algorithm, problem, seed=args.seed)
     assignment = result.assignment
     d = result.d
     lb = interaction_lower_bound(problem.uncapacitated())
@@ -956,7 +955,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         cell_size=cell,
         algorithm=args.algorithm,
         seed=args.seed,
-        backend=args.backend,
     )
     coreset = result.coreset
     print(
@@ -1178,9 +1176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         with _run_observability(args, args.command):
             return handlers[args.command](args)
     except ReproError as exc:
-        # Package errors carry a stable code (e.g.
-        # "kernel-backend-unavailable" for --backend numba without
-        # numba); surface it instead of a traceback.
+        # Package errors carry a stable code (e.g. "invalid-parameter");
+        # surface it instead of a traceback.
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

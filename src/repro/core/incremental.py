@@ -36,10 +36,10 @@ on the same substrate as the local-search family.
 
 The four hot loops — fused candidate scoring, the best-completion
 top-2 reduction, top-k selection for lazy rebuilds, and the O(|S|^2)
-objective refresh — are dispatched through a :mod:`repro.kernels`
-backend selected by the ``backend=`` knob (``"auto"`` picks numba when
-importable and otherwise the pure-numpy twin, which reproduces the
-historical inline engine byte for byte). Latency matrices may be
+objective refresh — are dispatched through the process's
+:mod:`repro.kernels` backend (numba when importable, otherwise the
+pure-numpy twin, which reproduces the historical inline engine byte for
+byte). Latency matrices may be
 float32 (see :class:`~repro.net.latency.LatencyMatrix`): the big
 ``(C, S)``/``(S, C)`` views stay in the matrix dtype for cache density
 while every S-sized accumulator remains float64, so float32 values —
@@ -230,13 +230,10 @@ class IncrementalObjective:
         :meth:`unassign` push undo records so :meth:`undo` can roll the
         state back. Long-running consumers (the online manager) disable
         it to bound memory.
-    backend:
-        Kernel backend for the hot loops: ``"auto"`` (default; numba
-        when importable, else the pure-numpy twin), ``"numba"``
-        (required — raises :class:`~repro.errors.KernelBackendError`
-        when numba is absent) or ``"numpy"``. Within one matrix dtype
-        the backends keep the engine state bit-identical; see
-        :mod:`repro.kernels` and ``docs/performance.md``.
+
+    The hot loops run on :func:`repro.kernels.resolve_backend`'s suite;
+    within one matrix dtype the backends keep the engine state
+    bit-identical (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -246,7 +243,6 @@ class IncrementalObjective:
         *,
         k: int = DEFAULT_TOP_K,
         history: bool = True,
-        backend: str = "auto",
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"top-k retention must be >= 2, got {k}")
@@ -258,7 +254,7 @@ class IncrementalObjective:
         # a float64 shadow costs nothing even for float32 matrices (and
         # is free — no copy — for float64 ones).
         self._ss64 = np.asarray(self._ss, dtype=np.float64)
-        self._kernels = resolve_backend(backend)
+        self._kernels = resolve_backend()
         self._k = int(k)
         self._history = bool(history)
         n_clients, n_servers = problem.n_clients, problem.n_servers

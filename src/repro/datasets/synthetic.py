@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
 from repro.net.latency import LatencyMatrix
 from repro.net.topology import clustered_points
 from repro.utils.rng import SeedLike, ensure_rng
@@ -74,10 +75,10 @@ class InternetLatencyModel:
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
+            raise InvalidParameterError(f"n_nodes must be >= 2, got {self.n_nodes}")
         for name in ("cluster_spread", "geo_scale", "min_latency"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidParameterError(f"{name} must be positive")
         for name in (
             "access_delay_mean",
             "noise_sigma",
@@ -85,11 +86,11 @@ class InternetLatencyModel:
             "spike_strength",
         ):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InvalidParameterError(f"{name} must be nonnegative")
         for name in ("spike_fraction", "missing_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+                raise InvalidParameterError(f"{name} must be in [0, 1), got {value}")
 
     # ------------------------------------------------------------------
     def generate_raw(self, seed: SeedLike = None) -> np.ndarray:

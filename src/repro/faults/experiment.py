@@ -160,6 +160,10 @@ def simulate_churn_with_faults(
         raise InvalidParameterError("join_probability must be in (0, 1)")
     if n_events < 1:
         raise InvalidParameterError(f"n_events must be >= 1, got {n_events}")
+    if rebalance_every is not None and rebalance_every < 0:
+        raise InvalidParameterError(
+            f"rebalance_every must be >= 0, got {rebalance_every}"
+        )
     rng = ensure_rng(seed)
     schedule.reset()
     manager = OnlineAssignmentManager(

@@ -20,18 +20,15 @@ heuristic's candidate scoring through four hot loops:
 Two interchangeable implementations exist:
 
 - :mod:`repro.kernels.numpy_backend` — the pure-numpy **twin**. Its
-  code is the exact numpy the engine historically inlined, so selecting
-  it reproduces the pre-kernel engine byte for byte.
-- :mod:`repro.kernels.numba_backend` — ``@njit``-compiled loops.
-  numba is imported lazily, only when this backend is requested (or
-  picked by ``"auto"``); ``import repro`` never requires it.
+  code is the exact numpy the engine historically inlined, so running
+  on it reproduces the pre-kernel engine byte for byte.
+- :mod:`repro.kernels.numba_backend` — ``@njit``-compiled loops,
+  imported lazily; ``import repro`` never requires numba.
 
-Backends are selected by name — ``"auto"`` (numba when importable,
-numpy otherwise), ``"numba"`` (hard requirement, raises
-:class:`~repro.errors.KernelBackendError` when absent) or ``"numpy"``
-— through :func:`resolve_backend`, which every consumer reaches via
-the ``backend=`` knob on the engine, the engine-backed algorithms,
-``run_algorithm``, the CLI and :class:`~repro.algorithms.online.OnlineConfig`.
+The backend is a property of the process, not an option:
+:func:`resolve_backend` returns the numba suite when numba imports and
+the numpy twin otherwise. Since the two are bit-identical (below), the
+choice changes speed, never a result.
 
 **Parity contract.** Within one matrix dtype the two backends maintain
 *bit-identical* engine state: the cached objective D and the per-server
@@ -55,11 +52,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Tuple
 
-from repro.errors import InvalidParameterError, KernelBackendError
 from repro.obs.metrics import registry
-
-#: Valid values of every ``backend=`` knob in the package.
-BACKEND_CHOICES: Tuple[str, ...] = ("auto", "numba", "numpy")
 
 #: Kernel names a backend module must export.
 KERNEL_NAMES: Tuple[str, ...] = (
@@ -76,8 +69,8 @@ _NUMBA_AVAILABLE: Optional[bool] = None
 def numba_available() -> bool:
     """Whether numba can actually be imported (cached after first call).
 
-    A broken installation counts as unavailable — ``"auto"`` must never
-    take the package down with it.
+    A broken installation counts as unavailable — it must never take
+    the package down with it.
     """
     global _NUMBA_AVAILABLE
     if _NUMBA_AVAILABLE is None:
@@ -88,20 +81,6 @@ def numba_available() -> bool:
         except Exception:
             _NUMBA_AVAILABLE = False
     return _NUMBA_AVAILABLE
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The concrete backends usable in this environment."""
-    return ("numba", "numpy") if numba_available() else ("numpy",)
-
-
-def validate_backend_name(name: str) -> str:
-    """Check ``name`` against :data:`BACKEND_CHOICES` and return it."""
-    if name not in BACKEND_CHOICES:
-        raise InvalidParameterError(
-            f"backend must be one of {BACKEND_CHOICES}, got {name!r}"
-        )
-    return name
 
 
 class KernelSuite:
@@ -123,14 +102,12 @@ class KernelSuite:
         "weighted_loads",
     )
 
-    def __init__(self, name: str, module, *, instrument: bool = True) -> None:
+    def __init__(self, name: str, module) -> None:
         self.name = name
-        metrics = registry() if instrument else None
+        metrics = registry()
         for kernel in KERNEL_NAMES:
             fn = getattr(module, kernel)
-            if metrics is not None:
-                fn = _timed(fn, metrics, f"kernel.{name}.{kernel}")
-            setattr(self, kernel, fn)
+            setattr(self, kernel, _timed(fn, metrics, f"kernel.{name}.{kernel}"))
 
     def __repr__(self) -> str:
         return f"KernelSuite({self.name!r})"
@@ -152,25 +129,12 @@ def _timed(fn: Callable, metrics, prefix: str) -> Callable:
     return timed
 
 
-def resolve_backend(name: str = "auto", *, instrument: bool = True) -> KernelSuite:
-    """Resolve a backend name to a ready-to-call :class:`KernelSuite`.
+def resolve_backend() -> KernelSuite:
+    """The process's :class:`KernelSuite`: numba when importable, else numpy."""
+    if numba_available():
+        from repro.kernels import numba_backend
 
-    ``"auto"`` prefers numba and silently falls back to the numpy twin;
-    ``"numba"`` raises :class:`~repro.errors.KernelBackendError` when
-    numba is absent; ``"numpy"`` always works. ``instrument=False``
-    skips the per-kernel timing wrappers (benchmarks measuring the raw
-    kernels).
-    """
-    validate_backend_name(name)
-    if name == "numpy" or (name == "auto" and not numba_available()):
-        from repro.kernels import numpy_backend
+        return KernelSuite("numba", numba_backend)
+    from repro.kernels import numpy_backend
 
-        return KernelSuite("numpy", numpy_backend, instrument=instrument)
-    if not numba_available():
-        raise KernelBackendError(
-            "backend 'numba' was requested but numba is not importable; "
-            "install numba or use backend='auto'/'numpy'"
-        )
-    from repro.kernels import numba_backend
-
-    return KernelSuite("numba", numba_backend, instrument=instrument)
+    return KernelSuite("numpy", numpy_backend)

@@ -1,9 +1,9 @@
 """numba-compiled kernels for the incremental objective engine.
 
 Importing this module requires numba; callers must go through
-:func:`repro.kernels.resolve_backend`, which imports it lazily only
-when numba is importable (``backend="auto"``) or explicitly demanded
-(``backend="numba"``). ``import repro`` never touches this module.
+:func:`repro.kernels.resolve_backend`, which imports it lazily, and
+only when numba is importable. ``import repro`` never touches this
+module.
 
 Each kernel is the loop-fused equivalent of its numpy twin in
 :mod:`repro.kernels.numpy_backend`, with the same floating point

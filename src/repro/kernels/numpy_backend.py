@@ -2,8 +2,8 @@
 
 Every function here is a verbatim extraction of the numpy the
 incremental engine ran before the kernel seam existed. That makes this
-backend the **reference implementation**: selecting it (or running
-without numba installed) reproduces the pre-kernel engine byte for
+backend the **reference implementation**: running on it (the default
+whenever numba is not installed) reproduces the pre-kernel engine byte for
 byte, which the regression tests pin against golden walk values.
 
 Do not "optimize" these bodies — equivalence to the old engine *is*

@@ -10,13 +10,12 @@ process and hoists the lower bound to the placement level (shared
 across all capacities of that placement).
 
 Keys are ``(matrix identity, matrix dtype, placement strategy,
-n_servers, seed, capacity, kernel backend)``; the lower bound is cached
-one level up, without the capacity component. Identity of the matrix is
-its object id — entries hold a reference to the matrix, so ids cannot
-be recycled while an entry lives. The dtype and backend components
-close a former aliasing hole: a float32/numba trial must never be
-served a problem or lower bound built for a float64/numpy twin of the
-same matrix object id. The cache is LRU-bounded and exposes hit/miss
+n_servers, seed, capacity)``; the lower bound is cached one level up,
+without the capacity component. Identity of the matrix is its object
+id — entries hold a reference to the matrix, so ids cannot be recycled
+while an entry lives. The dtype component closes a former aliasing
+hole: a float32 trial must never be served a problem or lower bound
+built for a float64 twin of the same matrix object id. The cache is LRU-bounded and exposes hit/miss
 counters that :class:`~repro.parallel.pool.TrialPool` aggregates across
 worker processes for reports.
 """
@@ -140,16 +139,12 @@ class InstanceCache:
         seed: Optional[int],
         *,
         capacity: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> CachedInstance:
         """The (cached) instance for one placement coordinate.
 
         Builds the server set with the named placement strategy, wraps
         it into a problem (optionally capacitated) and computes the
         uncapacitated lower bound — each exactly once per unique key.
-        ``backend`` is the kernel backend the trial will run with; it
-        participates in the key (a numba trial never shares an entry
-        with a numpy one) without changing what is built.
         """
         if placement not in PLACEMENT_STRATEGIES:
             raise KeyError(
@@ -157,14 +152,14 @@ class InstanceCache:
                 f"{tuple(PLACEMENT_STRATEGIES)}"
             )
         dtype = str(matrix.dtype)
-        key = (id(matrix), dtype, placement, n_servers, seed, capacity, backend)
+        key = (id(matrix), dtype, placement, n_servers, seed, capacity)
         hit = self._entries.get(key)
         if hit is not None:
             self._hits += 1
             self._m_hits.inc()
             self._entries.move_to_end(key)
             return hit
-        base_key = (id(matrix), dtype, placement, n_servers, seed, None, backend)
+        base_key = (id(matrix), dtype, placement, n_servers, seed, None)
         base = self._entries.get(base_key)
         if base is not None and capacity is not None:
             # Same placement, new capacity: reuse servers + lower bound.

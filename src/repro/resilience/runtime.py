@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
-from repro.core.incremental import DEFAULT_TOP_K
 from repro.errors import (
     BadRequestError,
     CapacityError,
@@ -326,8 +325,7 @@ class DurableRuntime:
         OnlineAssignmentManager`.
     online:
         An :class:`~repro.algorithms.online.OnlineConfig` (capacity,
-        join policy, kernel backend, top-k, shards). ``shards > 1``
-        runs a region-sharded
+        join policy, shards). ``shards > 1`` runs a region-sharded
         :class:`~repro.scale.sharded.ShardedOnlineManager` instead; a
         sharded runtime is volatile-only and refuses server fault
         events with :class:`~repro.errors.SessionStateError`.
@@ -390,8 +388,6 @@ class DurableRuntime:
             "servers": [int(s) for s in as_index_array(servers, "servers")],
             "capacity": online.capacity,
             "join_policy": online.join_policy,
-            "backend": online.backend,
-            "top_k": int(online.top_k),
             "readmit_moves": int(readmit_moves),
             "shed_policy": shed_policy,
             "max_backlog": policy.max_backlog,
@@ -448,13 +444,12 @@ class DurableRuntime:
             max_backlog=int(config["max_backlog"]),
             d_budget=None if d_budget is None else decode_float(d_budget),
         )
-        # .get defaults keep checkpoints/WALs written before the
-        # backend/top_k knobs existed recoverable.
+        # Keys older versions wrote and this one no longer reads (the
+        # kernel backend, the engine's top-k) are ignored here but kept
+        # in self._config, so a recovered state digests as it did.
         online = OnlineConfig(
             capacity=config["capacity"],
             join_policy=config["join_policy"],
-            backend=config.get("backend", "auto"),
-            top_k=int(config.get("top_k", DEFAULT_TOP_K)),
             shards=shards,
         )
         self._sharded = shards > 1

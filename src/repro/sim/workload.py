@@ -13,6 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
 from repro.sim.events import Operation
 from repro.sim.sequencing import sequence_timed
 from repro.utils.rng import SeedLike, ensure_rng
@@ -43,9 +44,9 @@ def poisson_workload(
     ``horizon`` is the issuance window ``[0, horizon)``.
     """
     if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+        raise InvalidParameterError(f"rate must be positive, got {rate}")
     if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+        raise InvalidParameterError(f"horizon must be positive, got {horizon}")
     rng = ensure_rng(seed)
     raw: List[Tuple[float, int]] = []
     for client in range(n_clients):

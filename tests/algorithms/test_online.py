@@ -10,7 +10,11 @@ from repro.algorithms.online import (
 )
 from repro.core import max_interaction_path_length
 from repro.datasets.synthetic import small_world_latencies
-from repro.errors import CapacityError, InvalidAssignmentError
+from repro.errors import (
+    CapacityError,
+    InvalidAssignmentError,
+    InvalidParameterError,
+)
 from repro.placement import random_placement
 
 
@@ -186,6 +190,21 @@ class TestChurnSimulation:
     def test_invalid_probability(self, matrix, servers):
         with pytest.raises(ValueError):
             simulate_churn(matrix, servers, join_probability=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_events": 0}, {"n_events": -1}, {"rebalance_every": -1}],
+        ids=["no-events", "negative-events", "negative-cadence"],
+    )
+    def test_invalid_cadence_rejected(self, matrix, servers, kwargs):
+        with pytest.raises(InvalidParameterError):
+            simulate_churn(matrix, servers, **kwargs)
+
+    def test_zero_cadence_means_off(self, matrix, servers):
+        off = simulate_churn(matrix, servers, n_events=40, rebalance_every=0)
+        assert off.moves_by_rebalance == 0
+        assert all(p.event != "rebalance" for p in off.trace)
+        assert off == simulate_churn(matrix, servers, n_events=40)
 
     def test_capacitated_churn(self, matrix, servers):
         result = simulate_churn(

@@ -39,6 +39,12 @@ class TestValidation:
         config = OnlineConfig(capacity=7, join_policy="nearest")
         assert OnlineConfig.from_dict(config.to_dict()) == config
 
+    def test_from_dict_ignores_retired_keys(self):
+        """Payloads from versions with a kernel-backend and top-k knob
+        still load."""
+        data = dict(OnlineConfig(capacity=7).to_dict(), backend="numba", top_k=5)
+        assert OnlineConfig.from_dict(data) == OnlineConfig(capacity=7)
+
 
 class TestManagerConstruction:
     def test_config_object_is_primary_api(self, small_world):
@@ -56,48 +62,3 @@ class TestManagerConstruction:
         value = {"capacity": 4, "join_policy": "nearest"}[keyword]
         with pytest.raises(TypeError, match=keyword):
             OnlineAssignmentManager(matrix, servers, **{keyword: value})
-
-
-class TestEngineKnobs:
-    """The backend / top_k knobs added with the kernel subsystem."""
-
-    def test_defaults(self):
-        from repro.core import DEFAULT_TOP_K
-
-        config = OnlineConfig()
-        assert config.backend == "auto"
-        assert config.top_k == DEFAULT_TOP_K
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            OnlineConfig(backend="gpu")
-        with pytest.raises(InvalidParameterError):
-            OnlineConfig(top_k=1)
-
-    def test_roundtrip_includes_knobs(self):
-        config = OnlineConfig(backend="numpy", top_k=5)
-        data = config.to_dict()
-        assert data["backend"] == "numpy"
-        assert data["top_k"] == 5
-        assert OnlineConfig.from_dict(data) == config
-
-    def test_from_dict_tolerates_legacy_payloads(self):
-        """Checkpoints/WALs written before the knobs existed still load."""
-        from repro.core import DEFAULT_TOP_K
-
-        data = OnlineConfig().to_dict()
-        data.pop("backend")
-        data.pop("top_k")
-        config = OnlineConfig.from_dict(data)
-        assert config.backend == "auto"
-        assert config.top_k == DEFAULT_TOP_K
-
-    def test_manager_threads_knobs_to_engine(self, small_world):
-        matrix, servers = small_world
-        manager = OnlineAssignmentManager(
-            matrix, servers, OnlineConfig(backend="numpy", top_k=4)
-        )
-        manager.join(0)
-        manager.join(1)
-        assert manager.current_d() >= 0.0
-        assert manager._engine.backend == "numpy"

@@ -1,11 +1,10 @@
-"""Backend selection, parity, and regression tests for ``repro.kernels``.
+"""Backend resolution, parity, and regression tests for ``repro.kernels``.
 
 Three layers of guarantees:
 
-- **Resolution** — backend names validate, ``"numpy"`` always works,
-  ``"numba"`` raises :class:`~repro.errors.KernelBackendError` when
-  numba is absent, ``"auto"`` never raises, and ``import repro`` does
-  not require numba at all.
+- **Resolution** — the process runs numba when it imports and the
+  numpy twin otherwise, and ``import repro`` does not require numba at
+  all.
 - **Parity** — within one dtype the numpy and numba backends keep
   bit-identical engine state over long random apply/undo/batch walks
   (run only where numba is importable); float32 instances track their
@@ -29,17 +28,14 @@ from repro.core import (
     IncrementalObjective,
     max_interaction_path_length_bruteforce,
 )
-from repro.errors import InvalidParameterError, KernelBackendError
 from repro.kernels import (
-    BACKEND_CHOICES,
     KERNEL_NAMES,
     KernelSuite,
-    available_backends,
     numba_available,
     resolve_backend,
-    validate_backend_name,
 )
 from repro.net.latency import LatencyMatrix
+from tests.kernel_suites import use_kernels
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not importable in this environment"
@@ -56,45 +52,24 @@ def _random_problem(rng, n, k, *, dtype=np.float64):
 
 
 class TestResolution:
-    def test_backend_choices(self):
-        assert BACKEND_CHOICES == ("auto", "numba", "numpy")
-        for name in BACKEND_CHOICES:
-            assert validate_backend_name(name) == name
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            validate_backend_name("cython")
-        with pytest.raises(InvalidParameterError):
-            resolve_backend("")
-
     def test_numpy_always_resolves(self):
-        suite = resolve_backend("numpy")
-        assert isinstance(suite, KernelSuite)
-        assert suite.name == "numpy"
-        for kernel in KERNEL_NAMES:
-            assert callable(getattr(suite, kernel))
+        with use_kernels("numpy") as suite:
+            assert isinstance(suite, KernelSuite)
+            assert suite.name == "numpy"
+            for kernel in KERNEL_NAMES:
+                assert callable(getattr(suite, kernel))
 
     def test_auto_matches_availability(self):
         expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend("auto").name == expected
-        assert available_backends()[-1] == "numpy"
-
-    def test_numba_hard_request_raises_when_absent(self):
-        if numba_available():
-            pytest.skip("numba importable here; the error path is unreachable")
-        with pytest.raises(KernelBackendError) as exc_info:
-            resolve_backend("numba")
-        assert exc_info.value.code == "kernel-backend-unavailable"
+        assert resolve_backend().name == expected
 
     def test_engine_surfaces_backend_choice(self):
         rng = np.random.default_rng(0)
         problem = _random_problem(rng, 20, 4)
-        engine = IncrementalObjective(problem, backend="numpy")
+        with use_kernels("numpy"):
+            engine = IncrementalObjective(problem)
         assert engine.backend == "numpy"
-        auto = IncrementalObjective(problem)
-        assert auto.backend in ("numpy", "numba")
-        with pytest.raises(InvalidParameterError):
-            IncrementalObjective(problem, backend="fortran")
+        assert IncrementalObjective(problem).backend == resolve_backend().name
 
     def test_import_repro_never_requires_numba(self):
         """``import repro`` and an engine walk succeed with numba blocked.
@@ -124,7 +99,7 @@ from repro.kernels import numba_available, resolve_backend
 from repro.net.latency import LatencyMatrix
 
 assert not numba_available()
-assert resolve_backend("auto").name == "numpy"
+assert resolve_backend().name == "numpy"
 rng = np.random.default_rng(3)
 values = rng.uniform(1.0, 50.0, size=(12, 12))
 np.fill_diagonal(values, 0.0)
@@ -150,7 +125,7 @@ class TestObservability:
         rng = np.random.default_rng(11)
         problem = _random_problem(rng, 30, 5)
         with use_registry(MetricsRegistry()) as metrics:
-            engine = IncrementalObjective(problem, backend="numpy")
+            engine = IncrementalObjective(problem)
             for c in range(30):
                 engine.apply(c, c % 5)
             engine.d()
@@ -166,16 +141,6 @@ class TestObservability:
         for kernel in ("move_context", "objective_refresh"):
             assert counters[f"kernel.{name}.{kernel}.calls"] >= 1
             assert counters[f"kernel.{name}.{kernel}.seconds"] >= 0.0
-
-    def test_uninstrumented_suite_skips_counters(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
-        with use_registry(MetricsRegistry()) as metrics:
-            suite = resolve_backend("numpy", instrument=False)
-            dists = np.array([3.0, 1.0, 2.0])
-            suite.topk_select(dists, 2)
-            counters = metrics.snapshot()["counters"]
-            assert not any(k.startswith("kernel.") for k in counters)
 
 
 def _walk(engine, rng, n, k_servers, steps, record_every, shadow=None):
@@ -237,7 +202,8 @@ class TestGoldenWalk:
         matrix = LatencyMatrix(values)
         servers = np.sort(rng.choice(n, size=12, replace=False))
         problem = ClientAssignmentProblem(matrix, servers)
-        return IncrementalObjective(problem, history=True, backend=backend)
+        with use_kernels(backend):
+            return IncrementalObjective(problem, history=True)
 
     def test_numpy_backend_is_byte_identical_to_history(self):
         engine = self._engine("numpy")
@@ -265,10 +231,10 @@ class TestParity:
         rng = np.random.default_rng(900 + seed)
         n, k_servers = 40, 7
         problem = _random_problem(rng, n, k_servers)
-        engines = {
-            name: IncrementalObjective(problem, k=3, backend=name)
-            for name in ("numpy", "numba")
-        }
+        engines = {}
+        for name in ("numpy", "numba"):
+            with use_kernels(name):
+                engines[name] = IncrementalObjective(problem, k=3)
         walks = {
             name: np.random.default_rng(1000 + seed) for name in engines
         }
@@ -297,9 +263,8 @@ class TestParity:
                 LatencyMatrix(values, dtype=dtype), servers
             )
             assert problem.dtype == np.dtype(dtype)
-            engines[np.dtype(dtype).name] = IncrementalObjective(
-                problem, backend=backend
-            )
+            with use_kernels(backend):
+                engines[np.dtype(dtype).name] = IncrementalObjective(problem)
         for name, engine in engines.items():
             _walk(engine, np.random.default_rng(5), n, k_servers, 600, 100)
         d64 = engines["float64"].d()

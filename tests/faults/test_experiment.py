@@ -171,3 +171,9 @@ class TestSimulateChurnWithFaults:
             simulate_churn_with_faults(
                 matrix, servers, FaultSchedule(), join_probability=1.5
             )
+
+    def test_negative_rebalance_cadence_rejected(self, matrix, servers):
+        with pytest.raises(InvalidParameterError, match="rebalance_every"):
+            simulate_churn_with_faults(
+                matrix, servers, FaultSchedule(), rebalance_every=-1
+            )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernels import resolve_backend
 from repro.obs.report import render_summary, summarize, summarize_file
 
 
@@ -228,7 +229,7 @@ class TestKernelTiming:
                 main(
                     [
                         "solve", "--nodes", "50", "--servers", "5",
-                        "--algorithm", "greedy", "--backend", "numpy",
+                        "--algorithm", "greedy",
                     ]
                 )
                 == 0
@@ -239,4 +240,4 @@ class TestKernelTiming:
         assert main(["obs", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "kernel timing (per backend)" in out
-        assert "numpy.reduction_top2" in out
+        assert f"{resolve_backend().name}.reduction_top2" in out

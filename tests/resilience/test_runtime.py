@@ -1,6 +1,9 @@
 """DurableRuntime: log-then-apply, checkpoints, byte-identical recovery."""
 
+import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,49 @@ class TestRecovery:
             recovered = DurableRuntime.recover(tmp_path, matrix)
         assert recovered.digest() == expected
         recovered.close()
+
+
+PARENT_SESSION = Path(__file__).resolve().parents[1] / "data" / "parent_wal_session"
+
+
+class TestRecoverEarlierSession:
+    """A WAL session written by a version whose runtime config still
+    carried the kernel backend and top-k keys recovers byte for byte."""
+
+    @pytest.fixture
+    def recorded(self):
+        with open(f"{PARENT_SESSION}.json", encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.fixture
+    def durability(self):
+        return DurabilityConfig(mode="wal", checkpoint_every=6, fsync_every=1)
+
+    def _recover(self, tmp_path, durability, *, drop_checkpoints=False):
+        directory = tmp_path / "session"
+        shutil.copytree(PARENT_SESSION, directory)
+        if drop_checkpoints:
+            for _, path in list_checkpoints(directory):
+                os.unlink(path)
+        matrix = small_world_latencies(30, seed=4)
+        return DurableRuntime.recover(directory, matrix, durability=durability)
+
+    @pytest.mark.parametrize("drop_checkpoints", [False, True], ids=["checkpoint", "wal-only"])
+    def test_recovers_recorded_digest(
+        self, tmp_path, recorded, durability, drop_checkpoints
+    ):
+        runtime = self._recover(
+            tmp_path, durability, drop_checkpoints=drop_checkpoints
+        )
+        assert runtime.state_dict()["config"].items() >= recorded["config"].items()
+        assert runtime.digest() == recorded["digest"]
+        runtime.close()
+
+    def test_continues_after_recovery(self, tmp_path, recorded, durability):
+        runtime = self._recover(tmp_path, durability)
+        runtime.join(recorded["next_join"])
+        assert runtime.digest() == recorded["digest_after_join"]
+        runtime.close()
 
 
 class TestStateDict:

@@ -374,61 +374,6 @@ class TestServiceCommands:
             proc.wait(10)
 
 
-class TestSolveBackend:
-    def test_explicit_numpy_backend(self, capsys):
-        code = main(
-            [
-                "solve",
-                "--nodes",
-                "40",
-                "--servers",
-                "4",
-                "--algorithm",
-                "greedy",
-                "--backend",
-                "numpy",
-            ]
-        )
-        assert code == 0
-        assert "normalized interactivity" in capsys.readouterr().out
-
-    def test_backend_choices_validated(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "solve",
-                    "--nodes",
-                    "40",
-                    "--servers",
-                    "4",
-                    "--backend",
-                    "gpu",
-                ]
-            )
-
-    def test_numba_backend_fails_cleanly_when_absent(self, capsys):
-        from repro.kernels import numba_available
-
-        if numba_available():
-            pytest.skip("numba importable here; the error path is unreachable")
-        code = main(
-            [
-                "solve",
-                "--nodes",
-                "40",
-                "--servers",
-                "4",
-                "--algorithm",
-                "greedy",
-                "--backend",
-                "numba",
-            ]
-        )
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "numba" in err
-
-
 class TestScaleSolve:
     def test_unwritable_save_is_cli_error(self, tmp_path, capsys):
         save = tmp_path / "no-such-dir" / "solve.json"
@@ -470,6 +415,39 @@ class TestNoTracebacks:
         assert code == 1
         assert err.startswith("error [invalid-parameter]: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dataset", "--nodes", "1"],
+            ["analyze", "--nodes", "0"],
+            ["solve", "--nodes", "1", "--servers", "1"],
+            ["simulate", "--horizon", "-1"],
+            ["simulate", "--ops-rate", "0"],
+            ["churn", "--rebalance-every", "-1"],
+        ],
+        ids=[
+            "dataset-nodes", "analyze-nodes", "solve-nodes",
+            "simulate-horizon", "simulate-ops-rate", "churn-cadence",
+        ],
+    )
+    def test_invalid_parameter_is_cli_error(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [invalid-parameter]: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["fig", "7"], ["claims"], ["report"]], ids=lambda c: c[0]
+    )
+    def test_unknown_profile_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--profile", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --profile" in err
+        assert "bench, default, paper, quick" in err
 
     def test_more_servers_than_nodes_is_cli_error(self, capsys):
         code = main(["solve", "--nodes", "30", "--servers", "80"])
