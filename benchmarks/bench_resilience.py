@@ -1,23 +1,24 @@
 """Durability benchmarks: WAL/checkpoint overhead and recovery time.
 
 Drives the same 10k-event churn-under-faults stream (the chaos
-workload) through two configurations of the durable runtime stack:
+workload) through the durable runtime stack:
 
 - **no-WAL baseline** — the full ``DurableRuntime`` event path in
   volatile mode (``durability=off``: an in-memory sequence counter and
   no checkpoints), so the measured delta is exactly the durability cost
   (encode + CRC + write + fsync + snapshot), not wrapper bookkeeping;
-- **group-commit WAL** — the amortized configuration
-  (``fsync_every=1024``, ``checkpoint_every=2500``), asserted to stay
-  within ``OVERHEAD_BUDGET`` of the baseline. The runtime's default
-  group of 8 and strict per-record fsync are measured and reported as
-  extra rows, not asserted: their cost is one ``fsync(2)`` per 8 (resp.
-  1) events, which is a property of the disk, not of the append path.
+- **commit per request** — the WAL with one ``DurableRuntime.sync()``
+  (fsync, plus a checkpoint when the byte cadence calls for one) after
+  every request of 200, 8 and 1 events, as the service commits. The
+  200-event row is asserted to stay within ``OVERHEAD_BUDGET`` of the
+  baseline; the smaller requests are measured and reported, not
+  asserted: their cost is one ``fsync(2)`` per 8 (resp. 1) events,
+  which is a property of the disk, not of the append path.
 
 A second test measures ``DurableRuntime.recover`` wall time against
-WAL tail length (no checkpoints, so recovery replays the whole log)
-and checks every recovery is byte-identical to the live runtime it
-replaces.
+WAL length (the checkpoint files are deleted first, so recovery
+replays the whole log) and checks every recovery is byte-identical to
+the live runtime it replaces.
 
 Scale knobs (smoke runs shrink them; see the ``bench-smoke`` CI job):
 ``REPRO_BENCH_RESILIENCE_EVENTS`` (default 10000),
@@ -40,7 +41,12 @@ from repro.datasets import synthesize_meridian_like
 from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
 from repro.placement import kcenter_b
-from repro.resilience import DurabilityConfig, DurableRuntime, chaos_workload
+from repro.resilience import (
+    DurabilityConfig,
+    DurableRuntime,
+    chaos_workload,
+    list_checkpoints,
+)
 
 OVERHEAD_BUDGET = 1.10
 #: Below this node count the workload's per-event cost is too small for
@@ -66,18 +72,22 @@ def setup():
     return matrix, servers, events
 
 
-def _drive(directory, matrix, servers, events, *, fsync_every, checkpoint_every):
-    """Apply the event stream; returns (seconds, final D)."""
-    if fsync_every is None:  # no-WAL baseline: volatile mode
+def _drive(directory, matrix, servers, events, *, request_size):
+    """Apply the event stream, committing after every ``request_size``
+    events; returns (seconds, final D). ``None`` is the no-WAL
+    baseline."""
+    if request_size is None:
         durability = DurabilityConfig(mode="off")
+        request_size = len(events)
     else:
-        durability = DurabilityConfig(
-            checkpoint_every=checkpoint_every, fsync_every=fsync_every
-        )
+        durability = DurabilityConfig()
     runtime = DurableRuntime(directory, matrix, servers, durability=durability)
     start = time.perf_counter()
-    for event in events:
+    for i, event in enumerate(events, 1):
         runtime.apply(event)
+        if i % request_size == 0:
+            runtime.sync()
+    runtime.sync()
     elapsed = time.perf_counter() - start
     final_d = runtime.current_d()
     runtime.abandon()
@@ -92,26 +102,24 @@ def _out_path(tmp_path, filename: str) -> str:
 
 def test_wal_overhead(benchmark, setup, tmp_path):
     matrix, servers, events = setup
-    checkpoint_every = max(1, N_EVENTS // 4)
     configs = (
-        # (label, fsync_every, checkpoint_every, repeats)
-        ("no-wal", None, 0, 2),
-        ("wal group-1024", 1024, checkpoint_every, 2),
-        ("wal group-8 (default)", 8, checkpoint_every, 1),
-        ("wal strict fsync", 1, checkpoint_every, 1),
+        # (label, events per commit, repeats)
+        ("no-wal", None, 2),
+        ("wal commit/200", 200, 2),
+        ("wal commit/8", 8, 1),
+        ("wal commit/1", 1, 1),
     )
 
     def run():
         measured = []
-        for label, fsync_every, cpe, repeats in configs:
+        for label, request_size, repeats in configs:
             best, final_d = min(
                 _drive(
-                    tmp_path / f"{label.split()[0]}-{fsync_every}-{rep}",
+                    tmp_path / f"{label.split()[0]}-{request_size}-{rep}",
                     matrix,
                     servers,
                     events,
-                    fsync_every=fsync_every,
-                    checkpoint_every=cpe,
+                    request_size=request_size,
                 )
                 for rep in range(repeats)
             )
@@ -132,7 +140,6 @@ def test_wal_overhead(benchmark, setup, tmp_path):
         meta={
             "n_nodes": N_NODES,
             "n_servers": N_SERVERS,
-            "checkpoint_every": checkpoint_every,
             "overhead_budget": OVERHEAD_BUDGET,
             "asserted": N_NODES >= ASSERT_NODE_FLOOR,
         },
@@ -156,16 +163,16 @@ def test_wal_overhead(benchmark, setup, tmp_path):
     for label, _, final_d in measured[1:]:
         assert final_d == baseline_d, f"{label}: final D diverged from baseline"
     if N_NODES >= ASSERT_NODE_FLOOR:
-        group = dict((label, s) for label, s, _ in measured)["wal group-1024"]
+        group = dict((label, s) for label, s, _ in measured)["wal commit/200"]
         slowdown = group / baseline_seconds
         assert slowdown < OVERHEAD_BUDGET, (
-            f"group-commit WAL slowdown {slowdown:.3f}x exceeds the "
+            f"commit-per-200-events WAL slowdown {slowdown:.3f}x exceeds the "
             f"{OVERHEAD_BUDGET}x budget"
         )
 
 
 def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
-    """Recovery wall time as the un-checkpointed WAL tail grows."""
+    """Recovery wall time as the WAL replayed from genesis grows."""
     matrix, servers, events = setup
     tails = sorted(
         {
@@ -180,16 +187,15 @@ def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
         measured = []
         for tail in tails:
             directory = tmp_path / f"recover-{tail}"
-            runtime = DurableRuntime(
-                directory,
-                matrix,
-                servers,
-                durability=DurabilityConfig(checkpoint_every=0, fsync_every=1024),
-            )
-            for event in events[:tail]:
+            runtime = DurableRuntime(directory, matrix, servers)
+            for i, event in enumerate(events[:tail], 1):
                 runtime.apply(event)
+                if i % 200 == 0:
+                    runtime.sync()
             expected = runtime.digest()
-            runtime.abandon()
+            runtime.close()
+            for _, path in list_checkpoints(directory):
+                os.unlink(path)
             start = time.perf_counter()
             recovered = DurableRuntime.recover(directory, matrix)
             seconds = time.perf_counter() - start

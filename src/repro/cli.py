@@ -249,11 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-backlog", type=int, default=32,
         help="degraded-mode join backlog before rejection",
     )
-    p_chaos.add_argument("--checkpoint-every", type=int, default=20)
-    p_chaos.add_argument(
-        "--fsync-every", type=int, default=8,
-        help="WAL group-commit size (1 = fsync every record)",
-    )
     p_chaos.add_argument(
         "--no-torn-tail", action="store_true",
         help="skip appending a torn partial record to each killed WAL",
@@ -808,8 +803,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=args.seed,
             capacity=args.capacity,
             policy=DegradePolicy(max_backlog=args.max_backlog),
-            checkpoint_every=args.checkpoint_every,
-            fsync_every=args.fsync_every,
             tear_tail=not args.no_torn_tail,
         )
     finally:

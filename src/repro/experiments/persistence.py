@@ -189,19 +189,25 @@ def from_jsonable(data: Dict[str, Any]) -> FigureResult:
 _TMP_COUNTER = itertools.count()
 
 
-def atomic_write_json(
-    path: PathLike,
-    payload: Dict[str, Any],
-    *,
-    indent: Optional[int] = 2,
-    sort_keys: bool = True,
-) -> None:
-    """Write ``payload`` to ``path`` as JSON via a fsync'd temp + rename.
+def fsync_directory(path: PathLike) -> None:
+    """Fsync a directory, so the entries created or renamed in it survive
+    a power cut (a file's own fsync does not cover its name)."""
+    fd = os.open(os.fspath(path), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
-    The JSON is written to a temporary sibling and moved into place
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` via a fsync'd temp + rename.
+
+    The text is written to a temporary sibling and moved into place
     with :func:`os.replace`, so a crash or interrupt mid-write can
     never leave a truncated file at ``path`` — the previous contents
-    (or the absence of the file) survive instead.
+    (or the absence of the file) survive instead. The directory is
+    fsynced after the rename, so once this returns the new file is
+    durable under its name.
 
     The temporary name embeds the writer's PID and a per-process
     counter, so concurrent writers targeting the same path (parallel
@@ -210,11 +216,11 @@ def atomic_write_json(
     installs a complete, valid document. Shared by experiment results
     and :mod:`repro.resilience.checkpoint` snapshots.
     """
-    tmp_path = f"{os.fspath(path)}.{os.getpid()}-{next(_TMP_COUNTER)}.tmp"
+    path = os.fspath(path)
+    tmp_path = f"{path}.{os.getpid()}-{next(_TMP_COUNTER)}.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
-            handle.write("\n")
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -224,6 +230,14 @@ def atomic_write_json(
         except OSError:
             pass
         raise
+    fsync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def atomic_write_json(path: PathLike, payload: Dict[str, Any]) -> None:
+    """Write ``payload`` to ``path`` as indented, key-sorted JSON,
+    atomically (see :func:`atomic_write_text` for the crash-safety
+    contract)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_result(path: PathLike, result: FigureResult) -> None:

@@ -7,12 +7,13 @@ state durable and the runtime survivable:
 
 - :mod:`repro.resilience.wal` — a write-ahead event log: every
   join/leave/crash/recover/partition/rebalance is recorded as a
-  checksummed JSONL record *before* it is applied, with group-commit
-  fsync. A torn or corrupt tail (crash mid-write) is detected by
+  checksummed JSONL record *before* it is applied, and fsynced once per
+  commit (one per service request), so an acknowledged event is never
+  lost. A torn or corrupt tail (crash mid-write) is detected by
   checksum and truncated, never fatal.
-- :mod:`repro.resilience.checkpoint` — periodic atomic snapshots of
-  manager + failover + degrade state, so recovery replays a bounded WAL
-  tail instead of the full history.
+- :mod:`repro.resilience.checkpoint` — atomic snapshots of manager +
+  failover + degrade state, written as WAL volume accrues, so recovery
+  replays a bounded WAL tail instead of the full history.
 - :mod:`repro.resilience.runtime` — :class:`DurableRuntime`, the
   log-then-apply wrapper: ``DurableRuntime.recover(directory, matrix)``
   rebuilds **byte-identical** state (canonical digest over manager,
@@ -24,9 +25,10 @@ state durable and the runtime survivable:
   ``HEALTHY → DEGRADED → RECOVERING → HEALTHY`` transitions exported
   through the obs registry.
 - :mod:`repro.resilience.chaos` — the property harness (``repro
-  chaos``): seeded kill schedules interrupt a churn workload at
-  arbitrary event indices, recover from disk and diff state digests and
-  the D trajectory against the fault-free baseline.
+  chaos``): seeded power cuts interrupt a churn workload at arbitrary
+  event indices, recover from disk and diff state digests and the D
+  trajectory against the fault-free baseline at the last acknowledged
+  request.
 
 See ``docs/resilience.md`` for the on-disk formats and guarantees.
 """

@@ -2,12 +2,17 @@
 
 The property the whole resilience layer is gated on:
 
-    for every kill point ``k`` in a seeded churn-under-faults workload,
-    abandoning the runtime after event ``k`` (optionally with a torn
-    WAL tail) and recovering from disk yields (1) a **byte-identical**
-    state digest to the uninterrupted baseline at event ``k``, and
-    (2) an **identical D/interactivity trajectory and final digest**
-    when the remaining events are replayed on the recovered runtime.
+    the workload is applied in seeded requests of 1 to
+    :data:`MAX_REQUEST_EVENTS` events, each ending in a commit
+    (:meth:`~repro.resilience.runtime.DurableRuntime.sync`), as the
+    service applies its requests. For every kill point ``k``, a power
+    cut after event ``k`` — the runtime abandoned, its WAL truncated to
+    the last fsynced byte, optionally followed by a torn record — and
+    recovery from disk yield (1) a **byte-identical** state digest to
+    the uninterrupted baseline at the last acknowledged request
+    boundary ``a <= k``, and (2) an **identical D/interactivity
+    trajectory and final digest** when events ``[a, n)`` are replayed
+    on the recovered runtime.
 
 :func:`chaos_workload` draws the workload: joins/leaves from a seeded
 churn process interleaved with crash/recover edges from an
@@ -26,6 +31,7 @@ see the same events.
 
 from __future__ import annotations
 
+import bisect
 import os
 import time
 from dataclasses import dataclass
@@ -150,17 +156,38 @@ def chaos_workload(
 #: JSON prefix, no checksum, no terminating newline.
 TORN_TAIL = b'{"crc":"00000000","data":{"node":'
 
+#: Largest request (events per commit) the harness draws.
+MAX_REQUEST_EVENTS = 16
+
+
+def request_boundaries(n_events: int, seed: SeedLike = 0) -> Tuple[int, ...]:
+    """Seeded request ends: event counts after which a request commits.
+
+    Request sizes are drawn uniformly from ``1..MAX_REQUEST_EVENTS``;
+    the last boundary is ``n_events``.
+    """
+    rng = ensure_rng(derive_seed(seed, 3) if isinstance(seed, int) else seed)
+    ends: List[int] = []
+    end = 0
+    while end < n_events:
+        end = min(n_events, end + int(rng.integers(1, MAX_REQUEST_EVENTS + 1)))
+        ends.append(end)
+    return tuple(ends)
+
 
 @dataclass(frozen=True)
 class KillPointResult:
     """Recovery verification at one kill point."""
 
     kill_point: int
+    #: Events acknowledged (committed) before the kill: the last
+    #: request boundary at or before it.
+    acknowledged: int
     #: WAL records replayed on top of the checkpoint during recovery.
     replayed: int
     torn_tail: bool
     recovery_seconds: float
-    #: Recovered digest == baseline digest at the kill point.
+    #: Recovered digest == baseline digest at the acknowledged point.
     state_match: bool
     #: D after every remaining event matches the baseline bit-for-bit.
     trajectory_match: bool
@@ -196,11 +223,11 @@ class ChaosReport:
             f"baseline D={self.baseline_final_d:.4f} "
             f"({self.baseline_health}), "
             f"digest {self.baseline_final_digest[:12]}…",
-            "kill  replayed  torn  state  trajectory  final  recovery",
+            "kill   ack  replayed  torn  state  trajectory  final  recovery",
         ]
         for r in self.results:
             lines.append(
-                f"{r.kill_point:4d}  {r.replayed:8d}  "
+                f"{r.kill_point:4d}  {r.acknowledged:4d}  {r.replayed:8d}  "
                 f"{'yes' if r.torn_tail else ' no'}  "
                 f"{'  ok' if r.state_match else 'FAIL'}  "
                 f"{'        ok' if r.trajectory_match else '      FAIL'}  "
@@ -222,19 +249,20 @@ def run_chaos(
     seed: SeedLike = 0,
     capacity: Optional[int] = None,
     policy: Optional[DegradePolicy] = None,
-    checkpoint_every: int = 20,
-    fsync_every: int = 8,
     tear_tail: bool = True,
 ) -> ChaosReport:
-    """Run the kill/recover/diff property over a workload.
+    """Run the power-cut/recover/diff property over a workload.
 
-    For each kill point ``k``: replay events ``[0, k)`` into a fresh
-    runtime under ``base_dir/kill-k``, abandon it without a final sync,
-    optionally append a torn tail to its WAL, recover from disk,
-    compare digests against the baseline at ``k``, then replay the
-    remaining events and compare the D trajectory (exact float
-    equality) and final digest. Empty ``kill_points`` defaults to three
-    indices spread across the workload.
+    Events go in seeded requests (:func:`request_boundaries`), each
+    committed with :meth:`DurableRuntime.sync`. For each kill point
+    ``k``: apply events ``[0, k)`` the same way into a fresh runtime
+    under ``base_dir/kill-k``, abandon it, truncate its WAL to the last
+    fsynced byte, optionally append a torn tail, recover from disk and
+    compare digests against the baseline at the last acknowledged
+    boundary ``a <= k``; then replay events ``[a, n)`` and compare the
+    D trajectory (exact float equality) and final digest. Empty
+    ``kill_points`` defaults to three indices spread across the
+    workload.
     """
     events = tuple(workload) if workload is not None else chaos_workload(
         matrix, servers, n_events=n_events, seed=seed
@@ -254,9 +282,12 @@ def run_chaos(
             )
     base_dir = os.fspath(base_dir)
     os.makedirs(base_dir, exist_ok=True)
-    durability = DurabilityConfig(
-        checkpoint_every=checkpoint_every, fsync_every=fsync_every
-    )
+    boundaries = (0,) + request_boundaries(n_total, seed)
+    commits = set(boundaries)
+    acknowledged = {
+        k: boundaries[bisect.bisect_right(boundaries, k) - 1] for k in kill_points
+    }
+    durability = DurabilityConfig()
     common = dict(
         online=OnlineConfig(capacity=capacity),
         durability=durability,
@@ -268,13 +299,15 @@ def run_chaos(
         baseline = DurableRuntime(
             os.path.join(base_dir, "baseline"), matrix, servers, **common
         )
-        kill_set = set(kill_points)
-        digest_at: Dict[int, str] = {}
+        wanted = set(acknowledged.values())
+        digest_at: Dict[int, str] = {0: baseline.digest()}
         trajectory: List[float] = []
         for i, event in enumerate(events):
             baseline.apply(event)
             trajectory.append(baseline.current_d())
-            if i + 1 in kill_set:
+            if i + 1 in commits:
+                baseline.sync()
+            if i + 1 in wanted:
                 digest_at[i + 1] = baseline.digest()
         baseline_final_digest = baseline.digest()
         baseline_final_d = baseline.current_d()
@@ -284,27 +317,31 @@ def run_chaos(
     # ---------------------------------------------------------- kill points
     results: List[KillPointResult] = []
     for k in kill_points:
+        a = acknowledged[k]
         directory = os.path.join(base_dir, f"kill-{k:05d}")
+        wal_path = os.path.join(directory, WAL_NAME)
         with span("chaos.kill_point", kill_point=k):
             victim = DurableRuntime(directory, matrix, servers, **common)
-            for event in events[:k]:
+            for i, event in enumerate(events[:k]):
                 victim.apply(event)
+                if i + 1 in commits:
+                    victim.sync()
             checkpoint_seq = victim._last_checkpoint_seq
+            durable_bytes = victim.wal.synced_bytes
             victim.abandon()
-            torn = False
+            os.truncate(wal_path, durable_bytes)
             if tear_tail:
-                with open(os.path.join(directory, WAL_NAME), "ab") as handle:
+                with open(wal_path, "ab") as handle:
                     handle.write(TORN_TAIL)
-                torn = True
             start = time.perf_counter()
             recovered = DurableRuntime.recover(
                 directory, matrix, durability=durability
             )
             recovery_seconds = time.perf_counter() - start
             replayed = recovered.applied_seq - checkpoint_seq
-            state_match = recovered.digest() == digest_at[k]
+            state_match = recovered.digest() == digest_at[a]
             trajectory_match = True
-            for i in range(k, n_total):
+            for i in range(a, n_total):
                 recovered.apply(events[i])
                 if recovered.current_d() != trajectory[i]:
                     trajectory_match = False
@@ -312,8 +349,9 @@ def run_chaos(
             recovered.close()
         result = KillPointResult(
             kill_point=k,
+            acknowledged=a,
             replayed=max(0, replayed),
-            torn_tail=torn,
+            torn_tail=tear_tail,
             recovery_seconds=recovery_seconds,
             state_match=state_match,
             trajectory_match=trajectory_match,

@@ -4,20 +4,25 @@ A checkpoint is one JSON document capturing the *canonical state dict*
 of a :class:`~repro.resilience.runtime.DurableRuntime` — manager
 assignment, liveness and reachability masks, failover records, degrade
 machine, and the WAL sequence number it reflects. Recovery loads the
-latest valid checkpoint and replays only the WAL records after its
-``seq``, so recovery time is bounded by checkpoint cadence rather than
-run length.
+latest valid checkpoint and re-executes only the WAL records after its
+``seq``, so the replay is bounded by the checkpoint cadence rather than
+by run length. Reading the log is not: :func:`~repro.resilience.wal.
+read_wal` still decodes and CRC-checks the whole file, so recovery time
+keeps a term linear in the log's total size.
 
 Integrity: every checkpoint embeds a SHA-256 digest of its state dict
 (the same digest :meth:`~repro.resilience.runtime.DurableRuntime.
 digest` reports, which is what the chaos harness compares). Floats in
 state dicts are hex-encoded (``float.hex()``) so the digest is
-bit-exact across serialization. Files are written via
-:func:`~repro.experiments.persistence.atomic_write_json` (fsync'd temp
-+ rename), so a crash mid-checkpoint leaves the previous checkpoint
-intact; a checkpoint that fails validation on load is skipped with a
-warning and recovery falls back to the previous one (or to full WAL
-replay).
+bit-exact across serialization. :func:`write_checkpoint` encodes the
+state once: the compact, key-sorted body that :func:`state_digest`
+hashes is both hashed and spliced into the file, whose own keys are in
+sorted order too, so the file is canonical JSON. Files are written via
+:func:`~repro.experiments.persistence.atomic_write_text` (fsync'd temp,
+rename, directory fsync), so a crash mid-checkpoint leaves the previous
+checkpoint intact; a checkpoint that fails validation on load is
+skipped with a warning and recovery falls back to the previous one (or
+to full WAL replay).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError
-from repro.experiments.persistence import atomic_write_json
+from repro.experiments.persistence import atomic_write_text
 from repro.obs import registry
 
 PathLike = Union[str, os.PathLike]
@@ -42,6 +47,11 @@ CHECKPOINT_SCHEMA = 1
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{10})\.json$")
 
 
+def _canonical(state: Dict[str, Any]) -> str:
+    """The compact, key-sorted JSON of a state dict."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
 def state_digest(state: Dict[str, Any]) -> str:
     """SHA-256 over the compact, key-sorted JSON of a state dict.
 
@@ -49,8 +59,7 @@ def state_digest(state: Dict[str, Any]) -> str:
     runtimes agree iff their digests agree. State dicts hex-encode
     floats, so the digest is exact — no tolerance, no rounding.
     """
-    body = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -77,21 +86,22 @@ def write_checkpoint(
     """Atomically persist ``state`` as the checkpoint at ``seq``.
 
     Keeps the ``keep`` most recent checkpoints (older ones are pruned
-    after the new one is durably in place — never before, so there is
-    no window without a valid checkpoint). Returns the path written.
+    after the new one is durably in place, its rename included — never
+    before, so there is no window without a valid checkpoint). Returns
+    the path written.
     """
     if seq < 0:
         raise CheckpointError(f"checkpoint seq must be >= 0, got {seq}")
     if keep < 1:
         raise CheckpointError(f"keep must be >= 1, got {keep}")
     path = checkpoint_path(directory, seq)
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "seq": int(seq),
-        "digest": state_digest(state),
-        "state": state,
-    }
-    atomic_write_json(path, payload, indent=None)
+    body = _canonical(state)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    atomic_write_text(
+        path,
+        f'{{"digest":"{digest}","schema_version":{CHECKPOINT_SCHEMA},'
+        f'"seq":{int(seq)},"state":{body}}}\n',
+    )
     registry().counter("resilience.checkpoints").inc()
     for _old_seq, old_path in list_checkpoints(directory)[:-keep]:
         try:

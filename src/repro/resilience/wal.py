@@ -13,18 +13,18 @@ recoverable. One record per line::
   seq invalidates the line.
 - ``data`` — operation payload (JSON scalars and lists only).
 
-Durability is tunable: ``fsync_every=1`` fsyncs after every record
-(strict, one write + flush + fsync per event), ``fsync_every=N``
-group-commits every N records — appends stay in the process buffer
-until the group boundary flushes and fsyncs them, so a crash (process
-or OS) can lose up to N-1 acknowledged records, and a partial record
-at the buffer edge is handled as a torn tail on recovery.
-``fsync_every=0`` never fsyncs but still flushes per append
-(benchmarking baseline). :meth:`~WriteAheadLog.sync` and
-:meth:`~WriteAheadLog.close` always force the buffer down. The
-group-commit default in :class:`~repro.resilience.runtime.
-DurableRuntime` keeps WAL overhead under the benchmark budget (see
-``benchmarks/bench_resilience.py``).
+Durability is by commit: :meth:`~WriteAheadLog.append` only writes the
+line into the process buffer and counts its bytes;
+:meth:`~WriteAheadLog.sync` is the one place that flushes and fsyncs,
+and it does nothing when every byte is already synced. A record is
+durable once a ``sync`` (or :meth:`~WriteAheadLog.close`) after it has
+returned; :attr:`~WriteAheadLog.synced_bytes` is the file offset up to
+which that holds. The runtime commits once per request (see
+:meth:`~repro.resilience.runtime.DurableRuntime.sync`), so a process
+or machine crash loses only records that no reply has acknowledged; a
+partial record at the buffer edge is handled as a torn tail on
+recovery. Creating a log file also fsyncs its directory, so the file's
+name survives a power cut with its first commit.
 
 Reading tolerates exactly one damage mode for free: a torn or
 checksum-invalid **tail** (a writer died mid-line). The reader stops at
@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import InvalidParameterError, ResilienceError, WalCorruptionError
+from repro.experiments.persistence import fsync_directory
 from repro.obs import registry
 
 PathLike = Union[str, os.PathLike]
@@ -154,42 +155,32 @@ class WriteAheadLog:
         The log file; created if absent, appended to otherwise. Resuming
         an existing log requires ``next_seq`` (use
         :meth:`WriteAheadLog.resume` which derives it from the file).
-    fsync_every:
-        Group-commit interval: fsync after every N appends (``1`` =
-        strict, ``0`` = flush-only, never fsync).
+        Bytes already in the file count as unsynced until the first
+        :meth:`sync`: a killed writer may have left them in the OS
+        cache only.
     next_seq:
         Sequence number the next appended record receives.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        *,
-        fsync_every: int = 1,
-        next_seq: int = 1,
-    ) -> None:
-        if fsync_every < 0:
-            raise InvalidParameterError(
-                f"fsync_every must be >= 0, got {fsync_every}"
-            )
+    def __init__(self, path: PathLike, *, next_seq: int = 1) -> None:
         if next_seq < 1:
             raise InvalidParameterError(f"next_seq must be >= 1, got {next_seq}")
         self.path = os.fspath(path)
-        self.fsync_every = int(fsync_every)
         self._next_seq = int(next_seq)
+        created = not os.path.exists(self.path)
         self._handle = open(self.path, "ab")
+        if created:
+            fsync_directory(os.path.dirname(os.path.abspath(self.path)))
+        self._bytes = self._handle.tell()
+        self._synced_bytes = 0
+        # Records appended since the last sync; the registry counters
+        # are pushed at sync points only (two dict lookups per append
+        # are measurable on the hot path).
         self._unsynced = 0
-        # Registry pushes are batched with the group commit: two dict
-        # lookups per append are measurable on the hot path (see
-        # benchmarks/bench_resilience.py), and the counters only need
-        # to be correct at sync points.
-        self._uncounted = 0
 
     # ------------------------------------------------------------------
     @classmethod
-    def resume(
-        cls, path: PathLike, *, fsync_every: int = 1
-    ) -> Tuple["WriteAheadLog", Tuple[WalRecord, ...]]:
+    def resume(cls, path: PathLike) -> Tuple["WriteAheadLog", Tuple[WalRecord, ...]]:
         """Reopen an existing log for appending.
 
         Reads the valid prefix, truncates any torn tail, and returns
@@ -199,8 +190,7 @@ class WriteAheadLog:
         result = read_wal(path)
         truncate_torn_tail(path, result)
         last = result.records[-1].seq if result.records else 0
-        log = cls(path, fsync_every=fsync_every, next_seq=last + 1)
-        return log, result.records
+        return cls(path, next_seq=last + 1), result.records
 
     # ------------------------------------------------------------------
     @property
@@ -214,51 +204,46 @@ class WriteAheadLog:
         return self._next_seq - 1
 
     @property
+    def bytes_written(self) -> int:
+        """File offset just past the last appended record."""
+        return self._bytes
+
+    @property
+    def synced_bytes(self) -> int:
+        """File offset up to which the log is on stable storage."""
+        return self._synced_bytes
+
+    @property
     def closed(self) -> bool:
         return self._handle is None
 
     def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> WalRecord:
-        """Durably record one event; returns the stamped record.
+        """Write one record into the process buffer; returns it stamped.
 
-        Under group commit the line stays in the process buffer until
-        the group boundary flushes and fsyncs the whole batch — the
-        acknowledged-loss window is ``fsync_every - 1`` records for
-        process and OS crashes alike. ``fsync_every<=1`` flushes every
-        append (and fsyncs it when ``fsync_every=1``).
+        The record is not durable until the next :meth:`sync`.
         """
         if self._handle is None:
             raise ResilienceError("write-ahead log is closed")
         record = WalRecord(seq=self._next_seq, kind=kind, data=dict(data or {}))
-        self._handle.write(encode_record(record).encode("utf-8") + b"\n")
+        line = encode_record(record).encode("utf-8") + b"\n"
+        self._handle.write(line)
+        self._bytes += len(line)
         self._next_seq += 1
         self._unsynced += 1
-        self._uncounted += 1
-        if self.fsync_every:
-            if self._unsynced >= self.fsync_every:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._unsynced = 0
-                metrics = registry()
-                metrics.counter("resilience.wal.fsyncs").inc()
-                metrics.counter("resilience.wal.records").inc(self._uncounted)
-                self._uncounted = 0
-        else:
-            self._handle.flush()
         return record
 
     def sync(self) -> None:
-        """Force outstanding records to stable storage."""
-        if self._handle is None:
+        """Flush and fsync every appended byte (no-op when all are synced)."""
+        if self._handle is None or self._synced_bytes == self._bytes:
             return
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        self._synced_bytes = self._bytes
         metrics = registry()
+        metrics.counter("resilience.wal.fsyncs").inc()
         if self._unsynced:
-            metrics.counter("resilience.wal.fsyncs").inc()
-        if self._uncounted:
-            metrics.counter("resilience.wal.records").inc(self._uncounted)
-        self._unsynced = 0
-        self._uncounted = 0
+            metrics.counter("resilience.wal.records").inc(self._unsynced)
+            self._unsynced = 0
 
     def close(self) -> None:
         """Sync and release the file handle (idempotent)."""
@@ -271,10 +256,11 @@ class WriteAheadLog:
     def abandon(self) -> None:
         """Release the handle *without* a final fsync (crash simulation).
 
-        Closing the handle flushes the buffered tail to the OS but
-        skips the fsync, so this models a process killed between
-        operations whose pages the OS kept — exactly what the chaos
-        harness simulates (it adds torn tails separately).
+        Closing the handle hands the buffered tail to the OS but skips
+        the fsync, so this models a process killed between operations
+        whose pages the OS kept. A power cut additionally loses every
+        byte past :attr:`synced_bytes`; the chaos harness models it by
+        truncating the file there (and adds torn tails separately).
         """
         handle, self._handle = self._handle, None
         if handle is not None:

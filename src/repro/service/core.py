@@ -20,6 +20,12 @@ Determinism contract: every reply is a pure function of the session's
 event history (no wall clocks, no RNG inside the service), so a seeded
 event sequence produces byte-identical reply streams across runs,
 transports, and durability modes.
+
+Durability contract: a request that applies events commits the
+session's runtime (:meth:`~repro.resilience.runtime.DurableRuntime.
+sync`) once, after its last event and before its reply is built, so in
+``durability=wal`` sessions every event a reply reports is on stable
+storage.
 """
 
 from __future__ import annotations
@@ -143,8 +149,6 @@ class SessionConfig:
             "join_policy": self.online.join_policy,
             "shards": int(self.online.shards),
             "durability": self.durability.mode,
-            "checkpoint_every": self.durability.checkpoint_every,
-            "fsync_every": self.durability.fsync_every,
             "max_backlog": int(self.max_backlog),
             "d_budget": self.d_budget,
             "readmit_moves": int(self.readmit_moves),
@@ -157,8 +161,7 @@ class SessionConfig:
         known = {
             "nodes", "kind", "matrix_seed", "n_servers", "placement",
             "placement_seed", "servers", "capacity", "join_policy",
-            "shards", "durability", "checkpoint_every", "fsync_every",
-            "max_backlog",
+            "shards", "durability", "max_backlog",
             "d_budget", "readmit_moves", "shed_policy",
         }
         unknown = sorted(set(data) - known)
@@ -167,7 +170,6 @@ class SessionConfig:
         servers = data.get("servers")
         capacity = data.get("capacity")
         d_budget = data.get("d_budget")
-        checkpoint_every = data.get("checkpoint_every", 25)
         try:
             return cls(
                 nodes=int(data.get("nodes", 120)),
@@ -186,15 +188,7 @@ class SessionConfig:
                     join_policy=str(data.get("join_policy", "greedy")),
                     shards=int(data.get("shards", 1)),
                 ),
-                durability=DurabilityConfig(
-                    mode=str(data.get("durability", "off")),
-                    checkpoint_every=(
-                        None
-                        if checkpoint_every is None
-                        else int(checkpoint_every)
-                    ),
-                    fsync_every=int(data.get("fsync_every", 8)),
-                ),
+                durability=DurabilityConfig(mode=str(data.get("durability", "off"))),
                 max_backlog=int(data.get("max_backlog", 64)),
                 d_budget=None if d_budget is None else float(d_budget),
                 readmit_moves=int(data.get("readmit_moves", 8)),
@@ -551,7 +545,10 @@ class AssignmentService:
             return self._batch(request)
         if op in EVENT_OPS:
             session = self.session(request.get("session"))
-            result = session.apply_event(request)
+            try:
+                result = session.apply_event(request)
+            finally:
+                session.runtime.sync()
             registry().counter(f"service.events.{op}").inc()
             return result
         raise UnknownOperationError(f"unknown op {op!r}")
@@ -559,41 +556,47 @@ class AssignmentService:
     def _batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Apply a list of session events in order (throughput path).
 
-        Individual event failures become inline ``error`` entries and
+        A batch whose events are not all objects with a session-event
+        op is rejected whole, before any event is applied. Otherwise
+        individual event failures become inline ``error`` entries and
         the batch continues — matching the tolerance of the library
         replay path, and keeping one bad event from poisoning a
-        pipelined stream.
+        pipelined stream. The batch commits once, after its last event.
         """
         session = self.session(request.get("session"))
         events = request.get("events")
         if not isinstance(events, list):
             raise BadRequestError("'events' must be a list")
-        results: List[Dict[str, Any]] = []
-        metrics = registry()
         for event in events:
             if not isinstance(event, dict):
                 raise BadRequestError("each batch event must be an object")
-            op = event.get("op")
-            if op not in EVENT_OPS:
+            if event.get("op") not in EVENT_OPS:
                 raise BadRequestError(
                     f"batch events must be one of {sorted(EVENT_OPS)}, "
-                    f"got {op!r}"
+                    f"got {event.get('op')!r}"
                 )
-            try:
-                results.append(session.apply_event(event))
-                metrics.counter(f"service.events.{op}").inc()
-            except ReproError as exc:
-                metrics.counter("service.errors").inc()
-                metrics.counter(f"service.errors.{type(exc).code}").inc()
-                results.append(
-                    {
-                        "op": op,
-                        "error": {
-                            "code": type(exc).code,
-                            "message": str(exc),
-                        },
-                    }
-                )
+        results: List[Dict[str, Any]] = []
+        metrics = registry()
+        try:
+            for event in events:
+                op = event["op"]
+                try:
+                    results.append(session.apply_event(event))
+                    metrics.counter(f"service.events.{op}").inc()
+                except ReproError as exc:
+                    metrics.counter("service.errors").inc()
+                    metrics.counter(f"service.errors.{type(exc).code}").inc()
+                    results.append(
+                        {
+                            "op": op,
+                            "error": {
+                                "code": type(exc).code,
+                                "message": str(exc),
+                            },
+                        }
+                    )
+        finally:
+            session.runtime.sync()
         return {"results": results, "count": len(results)}
 
     # ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.resilience import (
     parse_event,
     run_chaos,
 )
+from repro.resilience.chaos import MAX_REQUEST_EVENTS, request_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,6 @@ class TestRunChaos:
             seed=5,
             capacity=12,
             policy=DegradePolicy(max_backlog=6),
-            checkpoint_every=10,
         )
         assert report.ok
         assert report.kill_points == (6, 21)
@@ -105,29 +105,14 @@ class TestRunChaos:
             servers,
             tmp_path,
             n_events=30,
-            kill_points=(17,),
+            kill_points=(10,),
             seed=1,
-            checkpoint_every=10,
             tear_tail=False,
         )
         assert report.ok
         (result,) = report.results
         assert not result.torn_tail
         assert result.replayed > 0
-
-    def test_wal_only_recovery(self, tmp_path, matrix, servers):
-        """checkpoint_every=0 recovers from the genesis record alone."""
-        report = run_chaos(
-            matrix,
-            servers,
-            tmp_path,
-            n_events=20,
-            kill_points=(13,),
-            seed=2,
-            checkpoint_every=0,
-        )
-        assert report.ok
-        assert report.results[0].replayed >= 13
 
     def test_explicit_workload_passthrough(self, tmp_path, matrix, servers):
         nodes = [
@@ -150,8 +135,37 @@ class TestRunChaos:
             )
 
     def test_default_kill_points_cover_the_run(self, tmp_path, matrix, servers):
-        report = run_chaos(
-            matrix, servers, tmp_path, n_events=24, seed=9, checkpoint_every=5
-        )
+        report = run_chaos(matrix, servers, tmp_path, n_events=24, seed=9)
         assert len(report.kill_points) == 3
         assert report.ok
+
+
+class TestPowerCut:
+    def test_request_boundaries_are_seeded_and_bounded(self):
+        ends = request_boundaries(200, seed=4)
+        assert ends == request_boundaries(200, seed=4)
+        assert ends[-1] == 200
+        sizes = [b - a for a, b in zip((0,) + ends, ends)]
+        assert all(1 <= size <= MAX_REQUEST_EVENTS for size in sizes)
+        assert len(set(sizes)) > 1
+
+    def test_recovery_lands_on_last_acknowledged_boundary(
+        self, tmp_path, matrix, servers
+    ):
+        """A kill one event into a request loses exactly that
+        unacknowledged event, and nothing acknowledged."""
+        n_events, seed = 60, 3
+        ends = (0,) + request_boundaries(n_events, seed)
+        starts = [a for a, b in zip(ends, ends[1:]) if b - a > 1][:3]
+        assert starts, "the seeded requests should include multi-event ones"
+        report = run_chaos(
+            matrix,
+            servers,
+            tmp_path,
+            n_events=n_events,
+            kill_points=[a + 1 for a in starts],
+            seed=seed,
+        )
+        assert report.ok, report.render()
+        assert [r.acknowledged for r in report.results] == starts
+        assert all(r.state_match for r in report.results)

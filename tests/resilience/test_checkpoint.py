@@ -13,6 +13,7 @@ from repro.resilience import (
     state_digest,
     write_checkpoint,
 )
+from tests.fsync_log import FsyncLog
 
 
 def sample_state(n):
@@ -57,6 +58,35 @@ class TestWriteLoad:
             json.dump(payload, handle)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
+
+
+class TestDurableWrite:
+    def test_file_is_canonical_json_of_one_encode(self, tmp_path):
+        state = {"b": [3, 1], "a": {"y": 1.5, "x": "z"}}
+        path = write_checkpoint(tmp_path, 4, state)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert payload["digest"] == state_digest(state)
+        assert load_checkpoint(path).state == state
+
+    def test_directory_fsynced_after_each_rename(self, tmp_path, monkeypatch):
+        fsyncs = FsyncLog(monkeypatch)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            fsyncs.calls.append(("replace", os.fspath(dst)))
+
+        monkeypatch.setattr(os, "replace", replace)
+        paths = [write_checkpoint(tmp_path, seq, sample_state(seq)) for seq in (1, 2, 3)]
+        directory = os.stat(tmp_path).st_ino
+        renames = [i for i, c in enumerate(fsyncs.calls) if isinstance(c, tuple)]
+        assert [fsyncs.calls[i][1] for i in renames] == paths
+        for i in renames:
+            after = fsyncs.calls[i + 1]
+            assert after.is_dir and after.inode == directory
 
 
 class TestPruneAndLatest:

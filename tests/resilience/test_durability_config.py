@@ -31,14 +31,10 @@ class TestValidation:
 
     def test_bad_intervals(self):
         with pytest.raises(InvalidParameterError):
-            DurabilityConfig(checkpoint_every=-1)
-        with pytest.raises(InvalidParameterError):
-            DurabilityConfig(fsync_every=-1)
-        with pytest.raises(InvalidParameterError):
             DurabilityConfig(keep_checkpoints=0)
 
     def test_roundtrip(self):
-        config = DurabilityConfig(mode="off", checkpoint_every=None, fsync_every=1)
+        config = DurabilityConfig(mode="off", keep_checkpoints=3)
         assert DurabilityConfig.from_dict(config.to_dict()) == config
 
 
@@ -104,17 +100,14 @@ class TestCrossModeIdentity:
         volatile = DurableRuntime(
             None, matrix, servers, durability=DurabilityConfig(mode="off")
         )
-        durable = DurableRuntime(
-            tmp_path / "twin",
-            matrix,
-            servers,
-            durability=DurabilityConfig(checkpoint_every=3),
-        )
+        durable = DurableRuntime(tmp_path / "twin", matrix, servers)
         ops = [
             ("join", 1), ("join", 2), ("join", 5), ("crash", 0),
             ("join", 7), ("leave", 2), ("recover", 0), ("leave", 9),
         ]
-        for op, arg in ops:
+        for i, (op, arg) in enumerate(ops, 1):
+            if i % 3 == 0:
+                durable.checkpoint()
             for runtime in (volatile, durable):
                 if op == "join":
                     runtime.join(arg)
@@ -140,3 +133,12 @@ class TestCrossModeIdentity:
         runtime.close()
         with pytest.raises(ResilienceError):
             runtime.join(1)
+
+    def test_volatile_runtime_refuses_checkpoint(self, small_world):
+        matrix, servers = small_world
+        with DurableRuntime(
+            None, matrix, servers, durability=DurabilityConfig(mode="off")
+        ) as runtime:
+            runtime.sync()  # a commit is a no-op without a disk
+            with pytest.raises(ResilienceError, match="volatile"):
+                runtime.checkpoint()

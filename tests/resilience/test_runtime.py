@@ -43,18 +43,23 @@ def client_nodes(matrix, servers, n):
     return [u for u in range(matrix.n_nodes) if u not in server_set][:n]
 
 
-def churn(runtime, nodes):
-    """A deterministic little workload touching every event kind."""
-    for node in nodes[:6]:
-        runtime.join(node)
-    runtime.leave(nodes[1])
-    runtime.crash(0)
-    runtime.join(nodes[6])
-    runtime.partition([1])
-    runtime.leave(nodes[2])
-    runtime.heal([1])
-    runtime.recover_server(0)
-    runtime.rebalance(max_moves=4)
+def churn(runtime, nodes, *, checkpoint_every=0):
+    """A deterministic little workload touching every event kind,
+    checkpointing after every ``checkpoint_every``-th event."""
+    steps = [lambda node=node: runtime.join(node) for node in nodes[:6]] + [
+        lambda: runtime.leave(nodes[1]),
+        lambda: runtime.crash(0),
+        lambda: runtime.join(nodes[6]),
+        lambda: runtime.partition([1]),
+        lambda: runtime.leave(nodes[2]),
+        lambda: runtime.heal([1]),
+        lambda: runtime.recover_server(0),
+        lambda: runtime.rebalance(max_moves=4),
+    ]
+    for i, step in enumerate(steps, 1):
+        step()
+        if checkpoint_every and i % checkpoint_every == 0:
+            runtime.checkpoint()
 
 
 class TestFreshStart:
@@ -162,17 +167,12 @@ class TestEventApi:
 class TestRecovery:
     def test_byte_identical_with_checkpoint(self, tmp_path, matrix, servers):
         nodes = client_nodes(matrix, servers, 8)
-        runtime = DurableRuntime(
-            tmp_path,
-            matrix,
-            servers,
-            durability=DurabilityConfig(checkpoint_every=4),
-        )
-        churn(runtime, nodes)
+        runtime = DurableRuntime(tmp_path, matrix, servers)
+        churn(runtime, nodes, checkpoint_every=4)
         expected = runtime.digest()
         expected_d = runtime.current_d()
         runtime.abandon()
-        assert list_checkpoints(tmp_path)  # cadence produced at least one
+        assert list_checkpoints(tmp_path)
 
         recovered = DurableRuntime.recover(tmp_path, matrix)
         assert recovered.digest() == expected
@@ -180,14 +180,9 @@ class TestRecovery:
         recovered.close()
 
     def test_byte_identical_wal_only(self, tmp_path, matrix, servers):
-        """checkpoint_every=None: recovery replays the whole log."""
+        """No commit, no checkpoint: recovery replays the whole log."""
         nodes = client_nodes(matrix, servers, 8)
-        runtime = DurableRuntime(
-            tmp_path,
-            matrix,
-            servers,
-            durability=DurabilityConfig(checkpoint_every=None),
-        )
+        runtime = DurableRuntime(tmp_path, matrix, servers)
         churn(runtime, nodes)
         expected = runtime.digest()
         runtime.abandon()
@@ -266,9 +261,9 @@ class TestRecovery:
             tmp_path,
             matrix,
             servers,
-            durability=DurabilityConfig(checkpoint_every=3, keep_checkpoints=3),
+            durability=DurabilityConfig(keep_checkpoints=3),
         )
-        churn(runtime, nodes)
+        churn(runtime, nodes, checkpoint_every=3)
         expected = runtime.digest()
         runtime.abandon()
         checkpoints = list_checkpoints(tmp_path)
@@ -295,7 +290,7 @@ class TestRecoverEarlierSession:
 
     @pytest.fixture
     def durability(self):
-        return DurabilityConfig(mode="wal", checkpoint_every=6, fsync_every=1)
+        return DurabilityConfig(mode="wal")
 
     def _recover(self, tmp_path, durability, *, drop_checkpoints=False):
         directory = tmp_path / "session"
@@ -418,12 +413,7 @@ class TestApply:
 
     def test_recovery_replays_logged_events(self, tmp_path, matrix, servers):
         nodes = client_nodes(matrix, servers, 8)
-        runtime = DurableRuntime(
-            tmp_path,
-            matrix,
-            servers,
-            durability=DurabilityConfig(checkpoint_every=None),
-        )
+        runtime = DurableRuntime(tmp_path, matrix, servers)
         for event in churn_events(nodes):
             runtime.apply(event)
         expected = runtime.digest()
@@ -465,3 +455,67 @@ class TestShardedRuntime:
             DurableRuntime(
                 tmp_path, matrix, servers, online=OnlineConfig(shards=2)
             )
+
+
+class TestCommit:
+    """``sync()`` is the commit point; a power cut keeps what it covered."""
+
+    def test_genesis_is_durable_on_open(self, tmp_path, matrix, servers):
+        runtime = DurableRuntime(tmp_path, matrix, servers)
+        assert runtime.wal.synced_bytes == os.path.getsize(tmp_path / WAL_NAME) > 0
+        runtime.close()
+
+    def test_power_cut_keeps_every_acknowledged_event(
+        self, tmp_path, matrix, servers
+    ):
+        nodes = client_nodes(matrix, servers, 8)
+        runtime = DurableRuntime(tmp_path, matrix, servers)
+        for node in nodes[:4]:
+            runtime.join(node)
+        runtime.sync()
+        acknowledged = runtime.digest()
+        for node in nodes[4:]:
+            runtime.join(node)  # applied, never committed
+        durable = runtime.wal.synced_bytes
+        runtime.abandon()
+        os.truncate(tmp_path / WAL_NAME, durable)
+        recovered = DurableRuntime.recover(tmp_path, matrix)
+        assert recovered.digest() == acknowledged
+        recovered.close()
+
+    def test_checkpoint_cadence_tracks_wal_bytes(self, tmp_path):
+        """After every event, the WAL bytes past the newest checkpoint
+        stay within CHECKPOINT_LOG_RATIO times its size plus one
+        record, across a recovery too."""
+        from repro.datasets import synthesize_meridian_like
+        from repro.placement import kcenter_b
+        from repro.resilience.runtime import CHECKPOINT_LOG_RATIO
+        from repro.service.workload import generate_events
+
+        big = synthesize_meridian_like(200, seed=0)
+        placed = kcenter_b(big, 8, seed=0)
+        events = generate_events(
+            200, placed, n_events=5000, seed=3, fault_every=400,
+            partition_every=700, rebalance_every=300,
+        )
+        runtime = DurableRuntime(tmp_path, big, placed)
+        offset_at = {runtime.applied_seq: runtime.wal.bytes_written}
+        longest = 0
+        checkpoints = set()
+        for i, event in enumerate(events):
+            if i == len(events) // 2:
+                runtime.abandon()
+                runtime = DurableRuntime.recover(tmp_path, big)
+            runtime.apply(event)
+            wal = runtime.wal
+            offset_at[runtime.applied_seq] = wal.bytes_written
+            longest = max(longest, wal.bytes_written - offset_at[runtime.applied_seq - 1])
+            found = list_checkpoints(tmp_path)  # before the commit: the peak
+            if found:
+                seq, path = found[-1]
+                checkpoints.add(seq)
+                bound = CHECKPOINT_LOG_RATIO * os.path.getsize(path) + longest
+                assert wal.bytes_written - offset_at[seq] <= bound, (i, seq)
+            runtime.sync()
+        runtime.close()
+        assert len(checkpoints) >= 5

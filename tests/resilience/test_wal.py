@@ -15,6 +15,7 @@ from repro.resilience import (
     truncate_torn_tail,
 )
 from repro.resilience.wal import encode_record
+from tests.fsync_log import FsyncLog
 
 
 @pytest.fixture
@@ -22,8 +23,8 @@ def wal_path(tmp_path):
     return str(tmp_path / "events.wal")
 
 
-def write_records(path, n, *, fsync_every=1):
-    with WriteAheadLog(path, fsync_every=fsync_every) as log:
+def write_records(path, n):
+    with WriteAheadLog(path) as log:
         for i in range(n):
             log.append("join", {"node": i})
 
@@ -58,16 +59,54 @@ class TestAppendRead:
 
     def test_parameter_validation(self, wal_path):
         with pytest.raises(InvalidParameterError):
-            WriteAheadLog(wal_path, fsync_every=-1)
-        with pytest.raises(InvalidParameterError):
             WriteAheadLog(wal_path, next_seq=0)
 
     def test_group_commit_still_readable_after_abandon(self, wal_path):
-        log = WriteAheadLog(wal_path, fsync_every=100)
+        log = WriteAheadLog(wal_path)
         for i in range(7):
             log.append("join", {"node": i})
-        log.abandon()  # no final sync; appends were flushed per record
+        log.abandon()  # no final sync; closing hands the buffer to the OS
         assert len(read_wal(wal_path).records) == 7
+
+
+class TestCommit:
+    def test_append_never_fsyncs(self, wal_path, monkeypatch):
+        log = WriteAheadLog(wal_path)
+        fsyncs = FsyncLog(monkeypatch)
+        for i in range(20):
+            log.append("join", {"node": i})
+        assert fsyncs.calls == []
+        log.abandon()
+
+    def test_sync_covers_every_appended_byte_once(self, wal_path, monkeypatch):
+        fsyncs = FsyncLog(monkeypatch)
+        log = WriteAheadLog(wal_path)
+        for i in range(3):
+            log.append("join", {"node": i})
+        assert log.synced_bytes == 0
+        log.sync()
+        log.sync()  # clean: no second fsync
+        size = os.path.getsize(wal_path)
+        assert log.bytes_written == log.synced_bytes == size
+        assert [c.size for c in fsyncs.of(wal_path)] == [size]
+        log.close()  # clean: closing does not fsync either
+        assert len(fsyncs.of(wal_path)) == 1
+
+    def test_bytes_written_counts_lines(self, wal_path):
+        with WriteAheadLog(wal_path) as log:
+            record = log.append("join", {"node": 5})
+            assert log.bytes_written == len(encode_record(record)) + 1
+        with WriteAheadLog(wal_path, next_seq=2) as log:
+            assert log.bytes_written == os.path.getsize(wal_path)
+            assert log.synced_bytes == 0  # a reopened log is not yet trusted
+
+    def test_new_log_fsyncs_its_directory(self, tmp_path, monkeypatch):
+        fsyncs = FsyncLog(monkeypatch)
+        path = tmp_path / "events.wal"
+        WriteAheadLog(path).close()
+        assert [c.is_dir for c in fsyncs.of(tmp_path)] == [True]
+        WriteAheadLog(path, next_seq=1).close()  # reopening: no new entry
+        assert len(fsyncs.of(tmp_path)) == 1
 
 
 class TestTornTail:

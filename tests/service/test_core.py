@@ -5,7 +5,9 @@ import pytest
 from repro.algorithms.online import OnlineConfig
 from repro.errors import BadRequestError
 from repro.resilience.runtime import DurabilityConfig
+from repro.resilience import read_wal
 from repro.service.core import AssignmentService, SessionConfig
+from tests.fsync_log import FsyncLog
 
 
 @pytest.fixture()
@@ -133,6 +135,14 @@ class TestErrorReplies:
         reply = service.handle({"op": "open_session", "bogus_knob": 3})
         assert reply["error"]["code"] == "bad-request"
         assert "bogus_knob" in reply["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["checkpoint_every", "fsync_every"])
+    def test_removed_durability_keys_are_bad_request(self, service, key):
+        reply = service.handle(
+            {"op": "open_session", "nodes": 40, "durability": "wal", key: 1}
+        )
+        assert reply["error"]["code"] == "bad-request"
+        assert key in reply["error"]["message"]
 
     def test_handle_never_raises(self, service):
         # Every reply is an envelope, even for garbage.
@@ -291,10 +301,71 @@ class TestBatch:
         )
         assert reply["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("durability", ["off", "wal"])
+    def test_rejected_batch_applies_nothing(self, service, durability):
+        sid = _open(service, durability=durability)
+        before = service.handle({"op": "query", "session": sid, "what": "digest"})
+        for bad in (5, {"op": "close_session"}, {"node": 3}):
+            reply = service.handle(
+                {"op": "batch", "session": sid, "events": [{"op": "join", "node": 10}, bad]}
+            )
+            assert reply["error"]["code"] == "bad-request"
+        after = service.handle({"op": "query", "session": sid, "what": "digest"})
+        assert after["result"] == before["result"]  # digest and seq
+        stats = service.handle({"op": "query", "session": sid, "what": "stats"})
+        assert stats["result"]["events"] == 0
+
     def test_batch_needs_event_list(self, service):
         sid = _open(service)
         reply = service.handle({"op": "batch", "session": sid, "events": "nope"})
         assert reply["error"]["code"] == "bad-request"
+
+
+def _seqs(value):
+    """Every ``seq`` a reply reports, however deeply nested."""
+    if isinstance(value, dict):
+        own = [value["seq"]] if isinstance(value.get("seq"), int) else []
+        return own + [s for v in value.values() for s in _seqs(v)]
+    if isinstance(value, list):
+        return [s for v in value for s in _seqs(v)]
+    return []
+
+
+class TestAcknowledgment:
+    def test_every_reply_follows_a_covering_fsync(self, tmp_path, monkeypatch):
+        """A reply is built only after an fsync of the WAL that covers
+        every seq it reports: single events, batches, a batch with
+        inline errors, and a rejected batch."""
+        fsyncs = FsyncLog(monkeypatch)
+        requests = [{"op": "join", "node": n} for n in (1, 2, 3, 5)]
+        requests += [
+            {"op": "leave", "node": 2},
+            {"op": "crash", "server": 0},
+            {"op": "batch", "events": [{"op": "join", "node": n} for n in (6, 7, 8)]},
+            {"op": "batch", "events": [{"op": "join", "node": 6}, {"op": "join", "node": 9}]},
+            {"op": "batch", "events": [{"op": "join", "node": 11}, 5]},
+            {"op": "recover", "server": 0},
+            {"op": "batch", "events": [{"op": "leave", "node": n} for n in range(12)]},
+            {"op": "query", "what": "digest"},
+        ]
+        with AssignmentService(base_dir=str(tmp_path)) as svc:
+            opened = svc.handle(
+                {"op": "open_session", "nodes": 40, "n_servers": 4, "durability": "wal"}
+            )
+            wal = opened["result"]["wal"]
+            acks = [(1, fsyncs.synced_size(wal))]
+            for request in requests:
+                reply = svc.handle({**request, "session": "s1"})
+                acks += [(seq, fsyncs.synced_size(wal)) for seq in _seqs(reply)]
+            ends = {}
+            offset = 0
+            with open(wal, "rb") as handle:
+                for line, record in zip(handle, read_wal(wal).records):
+                    offset += len(line)
+                    ends[record.seq] = offset
+        assert max(seq for seq, _ in acks) == max(ends) == 24
+        for seq, synced in acks:
+            assert synced >= ends[seq], f"seq {seq} acknowledged before its fsync"
 
 
 class TestServiceLifecycle:

@@ -93,7 +93,7 @@ class TestInProcessEquivalence:
         wal_config = SessionConfig(
             **{
                 **_config_kwargs(config),
-                "durability": DurabilityConfig(mode="wal", checkpoint_every=500),
+                "durability": DurabilityConfig(mode="wal"),
             }
         )
         traj, digest, matrix = _service_run(
@@ -146,7 +146,6 @@ class TestWireEquivalence:
         params = {
             **config.to_dict(),
             "durability": "wal",
-            "checkpoint_every": 500,
         }
         service = AssignmentService(base_dir=str(tmp_path))
         with ServerThread(service) as (host, port):

@@ -280,8 +280,6 @@ class TestChaos:
                 "--kill-at",
                 "7",
                 "19",
-                "--checkpoint-every",
-                "8",
                 "--seed",
                 "0",
                 "--dir",
@@ -291,7 +289,14 @@ class TestChaos:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: OK" in out
-        assert "kill  replayed" in out
+        assert "kill   ack  replayed" in out
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-every", "--fsync-every"])
+    def test_durability_knobs_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", flag, "8"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_default_temp_dir_is_removed(self, capsys):
         import glob
